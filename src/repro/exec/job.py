@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING, Optional, Tuple
 
 from repro.harness import runner as runner_mod
@@ -71,9 +72,15 @@ class Job:
             self.workload, self.config_name, self.scale, self.params
         )
 
-    @property
+    @cached_property
     def job_id(self) -> str:
-        """Short stable identifier derived from the cache key."""
+        """Short stable identifier derived from the cache key.
+
+        Computed once per ``Job``: the daemon reads it several times per
+        job on every submission.  ``cached_property`` stores it in the
+        instance ``__dict__``, outside the dataclass fields, so equality,
+        hashing and ``dataclasses.replace`` are unaffected.
+        """
         digest = hashlib.sha256(
             json.dumps(self.cache_key).encode("utf-8")
         ).hexdigest()

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import sys
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from typing import Dict, Optional, TextIO
 
 
@@ -41,8 +41,13 @@ class ProgressSnapshot:
     elapsed_s: Optional[float] = None
 
     def to_dict(self) -> Dict[str, object]:
-        """JSON-ready payload (the service's ``progress`` NDJSON event)."""
-        return asdict(self)
+        """JSON-ready payload (the service's ``progress`` NDJSON event).
+
+        Every field is a scalar, so a flat copy in declaration order is
+        exactly what ``dataclasses.asdict`` returns, without its recursive
+        deep copy on a path the daemon takes for every job event.
+        """
+        return {name: getattr(self, name) for name in _SNAPSHOT_FIELDS}
 
     @classmethod
     def from_dict(cls, payload: Dict[str, object]) -> "ProgressSnapshot":
@@ -50,6 +55,9 @@ class ProgressSnapshot:
         newer daemon may stream fields an older client doesn't know)."""
         known = {f.name for f in fields(cls)}
         return cls(**{k: v for k, v in payload.items() if k in known})
+
+
+_SNAPSHOT_FIELDS = tuple(f.name for f in fields(ProgressSnapshot))
 
 
 def format_duration(seconds: Optional[float]) -> str:

@@ -88,10 +88,6 @@ class ServiceConfig:
     history_capacity: int = 512  # time-series ring-buffer depth
 
 
-def _result_payload(result: SimResult) -> Dict[str, object]:
-    return dataclasses.asdict(result)
-
-
 class SimService:
     """The daemon: HTTP front end, fair scheduler, shared caches."""
 
@@ -106,6 +102,10 @@ class SimService:
         self._queues: Dict[str, Deque[Job]] = {}
         self._rr: Deque[str] = deque()  # client round-robin order
         self._runs: Dict[str, "_SharedRun"] = {}
+        # job_id -> (result, payload): each result's JSON-ready payload,
+        # built once and shared read-only by every campaign holding it
+        self._payloads: Dict[str, Tuple[SimResult, Dict[str, object]]] = {}
+        self._active = 0  # campaigns whose status is "running"
         self._seq = 0
         self._draining = False
         self._started = time.monotonic()
@@ -229,7 +229,7 @@ class SimService:
         ]
         write_checkpoint(Path(self.config.checkpoint), unfinished)
         for campaign in unfinished:
-            campaign.status = "drained"
+            self._end_campaign(campaign, "drained")
             self._m_drained.inc()
             await campaign.emit(
                 {
@@ -304,6 +304,21 @@ class SimService:
         )
         return result
 
+    def _payload_for(self, job: Job, result: SimResult) -> Dict[str, object]:
+        """``result`` as the JSON-ready dict ``GET /results`` serves.
+
+        Built once per result and shared by every campaign that holds the
+        job, so callers must never mutate it.  The entry is keyed on the
+        result object itself: a job whose cached result was invalidated
+        and replaced gets a fresh payload, never the old one.
+        """
+        entry = self._payloads.get(job.job_id)
+        if entry is not None and entry[0] is result:
+            return entry[1]
+        payload = dataclasses.asdict(result)
+        self._payloads[job.job_id] = (result, payload)
+        return payload
+
     def _retry_after(self) -> int:
         """Honest backpressure hint: queue depth over drain rate."""
         depth = sum(len(q) for q in self._queues.values())
@@ -370,6 +385,7 @@ class SimService:
             campaign.trace = telemetry.TraceContext.new()
         campaign.submitted_us = self._now_us()
         self.campaigns[campaign.id] = campaign
+        self._active += 1
         self._m_submitted.inc()
         self._m_jobs.inc(len(jobs))
         self._m_cached.inc(len(cached))
@@ -382,25 +398,15 @@ class SimService:
                 span_id=campaign.trace.span_id,
                 parent_id=campaign.trace.parent_id,
             )
-        await campaign.emit(
-            {
-                "event": "campaign",
-                "id": campaign.id,
-                "client": client,
-                "jobs": len(jobs),
-                "cached": len(cached),
-                "deduped": len(inflight),
-                "queued": len(fresh),
-            }
-        )
-        for job in jobs:
-            if job.job_id in cached:
-                await self._complete_for(
-                    campaign, job, "cache",
-                    payload=_result_payload(cached[job.job_id]),
-                )
+        # subscribe, queue and answer hits before the first await, so no
+        # run can finish between the in-flight check above and its
+        # subscription; no stream can follow the campaign before the POST
+        # answers, so its opening events are appended in one batch
         for job in inflight:
-            self._runs[job.job_id].subscribers.append((campaign, job))
+            run = self._runs[job.job_id]
+            run.subscribers.append((campaign, job))
+            if run.started_us is not None:
+                campaign.transition(job.job_id, "running")
         for job in fresh:
             if campaign.trace is not None:
                 # attached after dedupe/peek (trace is compare=False, so
@@ -418,6 +424,24 @@ class SimService:
         self._publish_gauges()
         if fresh:
             self._wakeup.set()
+        events: List[Dict[str, object]] = [
+            {
+                "event": "campaign",
+                "id": campaign.id,
+                "client": client,
+                "jobs": len(jobs),
+                "cached": len(cached),
+                "deduped": len(inflight),
+                "queued": len(fresh),
+            }
+        ]
+        for job in jobs:
+            if job.job_id in cached:
+                events += self._finish_job(
+                    campaign, job, "cache",
+                    payload=self._payload_for(job, cached[job.job_id]),
+                )
+        await campaign.emit(*events)
         await self._maybe_finalize(campaign)
         return campaign, {
             "cached": len(cached),
@@ -430,9 +454,7 @@ class SimService:
     def _publish_gauges(self) -> None:
         self._g_queue.set(sum(len(q) for q in self._queues.values()))
         self._g_inflight.set(len(self._runs))
-        self._g_active.set(
-            sum(1 for c in self.campaigns.values() if c.status == "running")
-        )
+        self._g_active.set(self._active)
         # per-client depth (fairness visibility for `cli top`); client
         # names are label values, so escaping is the registry's problem
         for client, queue in self._queues.items():
@@ -466,28 +488,35 @@ class SimService:
             self._tasks.add(task)
             task.add_done_callback(self._tasks.discard)
 
+    def _begin_run(self, job: Job) -> None:
+        """Mark a dequeued job running in every campaign subscribed to it."""
+        run = self._runs.get(job.job_id)
+        if run is None:
+            return
+        run.started_us = self._now_us()
+        for campaign, sub_job in run.subscribers:
+            campaign.transition(sub_job.job_id, "running")
+        if (
+            self.tracer.enabled and job.trace is not None
+            and run.enqueued_us is not None
+        ):
+            # queue-wait span: a sibling of the job's own run span
+            self.tracer.span(
+                "daemon.queue", "daemon", run.enqueued_us,
+                max(1, run.started_us - run.enqueued_us),
+                job=job.describe(), job_id=job.job_id,
+                trace_id=job.trace.trace_id,
+                span_id=f"{job.trace.span_id}.q",
+                parent_id=job.trace.parent_id,
+            )
+
     async def _run_job(self, job: Job) -> None:
         """Execute one job on the pool; validate, retry, then finalize."""
         loop = asyncio.get_running_loop()
         error: Optional[str] = None
         result: Optional[SimResult] = None
         attempts = 0
-        run = self._runs.get(job.job_id)
-        if run is not None:
-            run.started_us = self._now_us()
-            if (
-                self.tracer.enabled and job.trace is not None
-                and run.enqueued_us is not None
-            ):
-                # queue-wait span: a sibling of the job's own run span
-                self.tracer.span(
-                    "daemon.queue", "daemon", run.enqueued_us,
-                    max(1, run.started_us - run.enqueued_us),
-                    job=job.describe(), job_id=job.job_id,
-                    trace_id=job.trace.trace_id,
-                    span_id=f"{job.trace.span_id}.q",
-                    parent_id=job.trace.parent_id,
-                )
+        self._begin_run(job)
         try:
             while attempts < MAX_JOB_ATTEMPTS:
                 attempts += 1
@@ -517,6 +546,7 @@ class SimService:
                     job.workload, job.config_name,
                     scale=job.scale, params=job.params,
                 )
+                self._payloads.pop(job.job_id, None)
                 error = f"corrupt result: {problem}"
                 result = None
             if attempts > 1:
@@ -564,7 +594,7 @@ class SimService:
                 job.workload, job.config_name, result,
                 scale=job.scale, params=job.params,
             )
-            payload = _result_payload(result)
+            payload = self._payload_for(job, result)
             self.store.put(json.dumps(job.cache_key), payload)
             self._m_executed.inc()
             manifest = payload.get("manifest") or {}
@@ -578,12 +608,15 @@ class SimService:
             return
         for position, (campaign, sub_job) in enumerate(run.subscribers):
             source = "run" if position == 0 else "dedup"
-            await self._complete_for(
-                campaign, sub_job, source,
-                payload=payload, error=error, wall_ms=wall_ms,
+            await campaign.emit(
+                *self._finish_job(
+                    campaign, sub_job, source,
+                    payload=payload, error=error, wall_ms=wall_ms,
+                )
             )
+            await self._maybe_finalize(campaign)
 
-    async def _complete_for(
+    def _finish_job(
         self,
         campaign: CampaignState,
         job: Job,
@@ -592,16 +625,18 @@ class SimService:
         payload: Optional[Dict[str, object]] = None,
         error: Optional[str] = None,
         wall_ms: Optional[float] = None,
-    ) -> None:
-        state = campaign.states[job.job_id]
-        state.source = source
+    ) -> Tuple[Dict[str, object], Dict[str, object]]:
+        """Finish one job of one campaign; its ``job`` and ``progress``
+        events, for the caller to emit."""
+        state = campaign.transition(
+            job.job_id, "failed" if error is not None else "done", source
+        )
         state.error = error
         state.wall_ms = wall_ms
-        state.status = "failed" if error is not None else "done"
         if payload is not None:
             campaign.results[job.job_id] = payload
         campaign.record_wall_ms(wall_ms)
-        await campaign.emit(
+        return (
             {
                 "event": "job",
                 "job_id": job.job_id,
@@ -610,17 +645,22 @@ class SimService:
                 "source": source,
                 "wall_ms": wall_ms,
                 "error": error,
-            }
+            },
+            {"event": "progress", **campaign.snapshot().to_dict()},
         )
-        await campaign.emit(
-            {"event": "progress", **campaign.snapshot().to_dict()}
-        )
-        await self._maybe_finalize(campaign)
+
+    def _end_campaign(self, campaign: CampaignState, status: str) -> None:
+        """End a running campaign, keeping the active-campaign count."""
+        if campaign.status == "running":
+            self._active -= 1
+        campaign.status = status
 
     async def _maybe_finalize(self, campaign: CampaignState) -> None:
         if campaign.status != "running" or not campaign.finished:
             return
-        campaign.status = "failed" if campaign.failed else "completed"
+        self._end_campaign(
+            campaign, "failed" if campaign.failed else "completed"
+        )
         if campaign.failed:
             self.registry.counter("service.campaigns.failed").inc()
         else:

@@ -6,6 +6,11 @@ keeps one :class:`CampaignState` per submission: an ordered job list,
 per-job status, the accumulated results, and an append-only event log
 that any number of NDJSON watchers replay and follow.
 
+Every job changes status through :meth:`CampaignState.transition`, which
+keeps the campaign's done / failed / running / cached counts current, so
+the progress snapshot emitted after each job costs O(1) rather than a
+rescan of every job: completing an N-job campaign is O(N), not O(N²).
+
 Checkpoints make drain bit-identically resumable: the daemon persists
 the *specs* of unfinished campaigns (never results — those live in the
 result cache / content store), so a restarted daemon re-plans the same
@@ -34,6 +39,8 @@ DEFAULT_CHECKPOINT = Path(".service_checkpoint.json")
 
 # terminal job states; a campaign completes when every job reaches one
 DONE_STATES = ("done", "failed")
+# sources that answer a job without running it for this campaign
+CACHED_SOURCES = ("cache", "dedup")
 
 
 def job_to_spec(job: Job) -> Dict[str, object]:
@@ -95,7 +102,13 @@ def job_from_spec(spec: Dict[str, object]) -> Job:
 
 @dataclass
 class JobState:
-    """Where one job of one campaign stands."""
+    """Where one job of one campaign stands.
+
+    ``status`` and ``source`` change only through
+    :meth:`CampaignState.transition`, which keeps the campaign's counts.
+    ``running`` means the pool is executing the job right now, whichever
+    campaign's submission queued it.
+    """
 
     job: Job
     status: str = "pending"  # pending | running | done | failed
@@ -122,6 +135,12 @@ class CampaignState:
         self.states: Dict[str, JobState] = {
             job.job_id: JobState(job) for job in self.jobs
         }
+        # jobs per status, plus done-from-cache/dedup: kept by transition()
+        self._counts: Dict[str, int] = {
+            "pending": len(self.states), "running": 0, "done": 0, "failed": 0,
+        }
+        self._cached = 0
+        # payloads shared read-only with every campaign holding the job
         self.results: Dict[str, object] = {}
         self.status = "running"  # running | completed | failed | drained
         self.events: List[Dict[str, object]] = []
@@ -137,62 +156,63 @@ class CampaignState:
 
     # -- accounting ----------------------------------------------------------
 
-    def _count(self, *statuses: str) -> int:
-        return sum(
-            1 for state in self.states.values() if state.status in statuses
-        )
+    def transition(
+        self, job_id: str, status: str, source: Optional[str] = None
+    ) -> JobState:
+        """Move one job to ``status`` (and ``source``, when given) in O(1),
+        keeping the counts the properties below return current."""
+        state = self.states[job_id]
+        self._counts[state.status] -= 1
+        if state.status == "done" and state.source in CACHED_SOURCES:
+            self._cached -= 1
+        state.status = status
+        if source is not None:
+            state.source = source
+        self._counts[status] += 1
+        if status == "done" and state.source in CACHED_SOURCES:
+            self._cached += 1
+        return state
 
     @property
     def done(self) -> int:
-        return self._count("done")
+        return self._counts["done"]
 
     @property
     def failed(self) -> int:
-        return self._count("failed")
+        return self._counts["failed"]
 
     @property
     def running(self) -> int:
-        return self._count("running")
+        return self._counts["running"]
 
     @property
     def cached(self) -> int:
-        return sum(
-            1
-            for state in self.states.values()
-            if state.status == "done" and state.source in ("cache", "dedup")
-        )
+        return self._cached
 
     @property
     def finished(self) -> bool:
-        return all(
-            state.status in DONE_STATES for state in self.states.values()
-        )
+        return self.done + self.failed == len(self.states)
 
     def snapshot(self) -> ProgressSnapshot:
         """This campaign's heartbeat — the same struct the CLI prints."""
-        finished = self.done + self.failed
+        counts, cached, wall_ms = self._counts, self._cached, self._wall_ms
+        finished = counts["done"] + counts["failed"]
         elapsed = time.monotonic() - self._started
-        executed = finished - self.cached
+        executed = finished - cached
         return ProgressSnapshot(
-            done=self.done,
-            running=self.running,
-            failed=self.failed,
+            done=counts["done"],
+            running=counts["running"],
+            failed=counts["failed"],
             total=len(self.jobs),
-            cached=self.cached,
-            eta_seconds=None if not self.finished else 0.0,
+            cached=cached,
+            eta_seconds=0.0 if finished == len(self.states) else None,
             label=self.id,
-            cache_hit_pct=(
-                100.0 * self.cached / finished if finished else None
-            ),
+            cache_hit_pct=100.0 * cached / finished if finished else None,
             p50_wall_ms=(
-                float(self._wall_ms.percentile(50))
-                if self._wall_ms.total
-                else None
+                float(wall_ms.percentile(50)) if wall_ms.total else None
             ),
             p95_wall_ms=(
-                float(self._wall_ms.percentile(95))
-                if self._wall_ms.total
-                else None
+                float(wall_ms.percentile(95)) if wall_ms.total else None
             ),
             ops_per_sec=(
                 executed / elapsed if executed > 0 and elapsed > 0 else None
@@ -218,10 +238,11 @@ class CampaignState:
 
     # -- event log -----------------------------------------------------------
 
-    async def emit(self, event: Dict[str, object]) -> None:
-        """Append one event and wake every stream following this campaign."""
+    async def emit(self, *events: Dict[str, object]) -> None:
+        """Append events in order and wake every stream following this
+        campaign once."""
         async with self._event_cond:
-            self.events.append(event)
+            self.events.extend(events)
             self._event_cond.notify_all()
 
     async def wait_for_event(self, index: int) -> bool:

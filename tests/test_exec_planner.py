@@ -5,6 +5,7 @@ lookups its driver actually performs."""
 from __future__ import annotations
 
 import dataclasses
+import pickle
 
 import pytest
 
@@ -127,6 +128,11 @@ class TestJobIdentity:
         again = make_job("mcf", "dice", params=PARAMS)
         assert job.job_id == again.job_id
         assert len(job.job_id) == 12
+        # computed once and kept outside the fields: identity, pickling
+        # (jobs ship to workers) and replace() see the same job
+        assert job == again and hash(job) == hash(again)
+        assert pickle.loads(pickle.dumps(job)).job_id == job.job_id
+        assert dataclasses.replace(job, rep=1).job_id == job.job_id
 
     def test_describe_names_workload_and_config(self):
         assert make_job("mcf", "dice", params=PARAMS).describe() == "mcf × dice"

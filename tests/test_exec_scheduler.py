@@ -188,6 +188,19 @@ class TestProgress:
             "jobs 12/40 · 4 running · 1 failed · eta 0:42 (mcf × dice)"
         )
 
+    def test_to_dict_is_asdict_and_round_trips(self):
+        # the NDJSON progress event: same keys, order and values as the
+        # dataclasses.asdict payload it replaced
+        snap = ProgressSnapshot(
+            done=3, running=2, failed=1, total=9, cached=1,
+            eta_seconds=4.5, label="c0001", cache_hit_pct=25.0,
+            p50_wall_ms=120.0, p95_wall_ms=480.0, ops_per_sec=1.5,
+            elapsed_s=2.0,
+        )
+        payload = snap.to_dict()
+        assert list(payload.items()) == list(dataclasses.asdict(snap).items())
+        assert ProgressSnapshot.from_dict(payload) == snap
+
     def test_eta_placeholder_and_hours(self):
         assert "eta --:--" in format_progress(
             ProgressSnapshot(done=0, running=1, failed=0, total=2))

@@ -199,6 +199,35 @@ class TestWarmResubmission:
         # and byte-identical to the first campaign's results
         again = daemon.client.results(str(second["id"]))
         assert again["results"] == first["results"]
+        # no new copy per submission: one shared payload object per result
+        campaigns = daemon.service.campaigns
+        cold_results = campaigns[str(first["id"])].results
+        warm_results = campaigns[str(second["id"])].results
+        assert set(warm_results) == set(cold_results)
+        for job_id, payload in warm_results.items():
+            assert payload is cold_results[job_id]
+        # the warm GET /results body is the cold one, byte for byte
+        cold_body = _raw_get(daemon, f"/campaigns/{first['id']}/results")
+        warm_body = _raw_get(daemon, f"/campaigns/{second['id']}/results")
+        assert warm_body == cold_body.replace(
+            str(first["id"]).encode(), str(second["id"]).encode()
+        )
+
+
+def _raw_get(daemon, path: str) -> bytes:
+    """One GET's response body, exactly as the daemon wrote it."""
+    import http.client
+
+    conn = http.client.HTTPConnection(
+        "127.0.0.1", daemon.service.port, timeout=60
+    )
+    try:
+        conn.request("GET", path)
+        response = conn.getresponse()
+        assert response.status == 200
+        return response.read()
+    finally:
+        conn.close()
 
 
 class TestStreamingAndIntrospection:
@@ -218,6 +247,23 @@ class TestStreamingAndIntrospection:
         assert progress
         snap = ProgressSnapshot.from_dict(progress[-1])
         assert snap.done == 2 and snap.total == 2
+
+    def test_progress_reports_running_jobs(self, daemon):
+        # two workers, four uncached jobs: when the first job finishes,
+        # the second has been running since dispatch
+        jobs = _specs(
+            ("pr_web", "base"), ("pr_web", "dice"),
+            ("bc_web", "base"), ("bc_web", "dice"),
+        )
+        submitted = daemon.client.submit(jobs=jobs, client="busy")
+        events = list(daemon.client.events(str(submitted["id"])))
+        progress = [e for e in events if e["event"] == "progress"]
+        assert len(progress) == 4
+        assert max(e["running"] for e in progress) >= 1
+        assert progress[-1]["running"] == 0
+        assert progress[-1]["done"] == 4
+        status = daemon.client.campaign(str(submitted["id"]))
+        assert status["running"] == 0 and status["done"] == 4
 
     def test_healthz_and_metrics_surface_cache_stats(self, daemon):
         daemon.client.run_campaign(
