@@ -1,10 +1,10 @@
 """Ambient chaos controller: the seams consult it, the policy decides.
 
 The controller holds process-local state: the active
-:class:`~repro.chaos.policy.ChaosPolicy` (installed by the pool
-initializer in workers, or by ``run_jobs`` for serial runs) and the
-*current site* — the ``(job_id, attempt)`` the scheduler is executing,
-set via :func:`job_site` around each job.  Injection seams call the
+:class:`~repro.chaos.policy.ChaosPolicy` (installed by the supervisor's
+pool initializer in every worker) and the *current site* — the
+``(job_id, attempt)`` the worker is executing, set via :func:`job_site`
+around each job attempt.  Injection seams call the
 ``maybe_*`` hooks; with no policy or no site they are a handful of
 ``None`` checks, so the fault-free hot path pays nothing.
 
@@ -46,14 +46,6 @@ def deactivate() -> None:
     global _policy, _site
     _policy = None
     _site = None
-
-
-def active() -> bool:
-    return _policy is not None
-
-
-def current_policy() -> Optional[ChaosPolicy]:
-    return _policy
 
 
 @contextmanager
@@ -156,9 +148,8 @@ def take_torn_write(path: os.PathLike) -> bool:
 def install_executor_chaos() -> None:
     """Wrap the harness run-executor with the crash/hang/corrupt seams.
 
-    Idempotent; installed by the pool worker initializer (and by the
-    scheduler for serial runs).  The wrapper sits *outside* the retry
-    executor, so a crash kills the worker before any retry bookkeeping —
+    Idempotent; installed by the supervisor's pool worker initializer.
+    A crash kills the worker before the result cache is touched —
     exactly like a real segfault would.
     """
     from repro.harness import runner as runner_mod

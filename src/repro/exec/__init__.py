@@ -7,11 +7,13 @@ loop into a sharded, resumable, deterministic fan-out:
   with a stable cache key;
 * :mod:`repro.exec.planner` — expands experiments into a deduped job
   list in deterministic order;
-* :mod:`repro.exec.scheduler` — the ``ProcessPoolExecutor`` worker pool,
-  with per-job retry/timeout and drain-on-failure semantics;
-* :mod:`repro.exec.supervisor` — watchdog deadlines, broken-pool
-  rebuild + requeue, poison-job quarantine, result validation, and
-  graceful SIGTERM/SIGINT shutdown around the pool;
+* :mod:`repro.exec.scheduler` — ``run_jobs``: cache hits served in the
+  parent, the rest run on a supervisor, outcomes merged in plan order
+  with drain-on-failure semantics;
+* :mod:`repro.exec.supervisor` — the one loop that runs a job attempt,
+  for the CLI and the campaign daemon alike: a long-lived worker pool
+  with watchdog deadlines, broken-pool rebuild + requeue, poison-job
+  quarantine, result validation, and graceful SIGTERM/SIGINT shutdown;
 * :mod:`repro.exec.cache` — the concurrency-safe sharded result store
   backing the harness result cache, with per-shard write circuit
   breakers;
@@ -38,6 +40,7 @@ from repro.exec.supervisor import (
     CorruptResultError,
     ShutdownFlag,
     SupervisionReport,
+    Supervisor,
     SupervisorPolicy,
     graceful_signals,
     validate_result,
@@ -54,6 +57,7 @@ __all__ = [
     "ShardedResultCache",
     "ShutdownFlag",
     "SupervisionReport",
+    "Supervisor",
     "SupervisorPolicy",
     "build_plan",
     "cache_health",

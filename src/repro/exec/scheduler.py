@@ -1,27 +1,23 @@
-"""Multiprocess worker-pool scheduler for simulation jobs.
+"""The campaign scheduler: serve cache hits, supervise the rest.
 
-``run_jobs`` shards a planned job list across ``N`` worker processes
-(``--jobs N`` / ``REPRO_JOBS``, defaulting to the machine's core count)
-and merges the outcomes back **in plan order**, so parallel campaigns are
-bit-identical to serial ones: every job is a deterministic function of
-its cache key, and only the completion *order* — which nothing downstream
+``run_jobs`` answers every job the result cache already holds in the
+parent, feeds the rest to one :class:`~repro.exec.supervisor.Supervisor`
+of ``N`` worker processes (``--jobs N`` / ``REPRO_JOBS``, defaulting to
+the machine's core count; ``--jobs 1`` is a pool of one), and merges the
+outcomes back **in plan order**, so parallel campaigns are bit-identical
+to single-worker ones: every job is a deterministic function of its
+cache key, and only the completion *order* — which nothing downstream
 observes — varies between runs.
 
-Resilience is per job, not per campaign: each worker applies the
-campaign layer's :class:`~repro.harness.campaign.RetryPolicy`
-(per-attempt timeout, exponential-backoff retries) around its own
-simulation, and every finished job persists through the sharded result
-cache immediately, so a killed campaign resumes at the granularity of
-single (workload, config) pairs.  A failing job never aborts the pool:
-the scheduler drains the remaining jobs and reports every failure, so
-one bad configuration costs one table, not the whole campaign.
-
-The pool path runs under :mod:`repro.exec.supervisor`: per-job
-wall-clock deadlines with watchdog cancellation, ``BrokenProcessPool``
-recovery (rebuild the pool, requeue the in-flight jobs), poison-job
-quarantine after repeated failed attempts, corrupt-payload detection
-with cache invalidation, and SIGTERM/SIGINT graceful drain.  Incidents
-surface as ``exec.supervisor.*`` metrics and events; the
+Resilience is per job, not per campaign: every finished job persists
+through the sharded result cache immediately, so a killed campaign
+resumes at the granularity of single (workload, config) pairs.  A
+failing job never aborts the pool: the scheduler drains the remaining
+jobs and reports every failure, so one bad configuration costs one
+table, not the whole campaign.  The supervisor adds per-job wall-clock
+deadlines with watchdog cancellation, ``BrokenProcessPool`` recovery,
+poison-job quarantine, corrupt-payload detection with cache
+invalidation, and SIGTERM/SIGINT graceful drain; the
 :class:`~repro.exec.supervisor.SupervisionReport` of the last run is
 available via :func:`last_report`.
 
@@ -33,7 +29,6 @@ monkeypatched test state; ``spawn`` is the fallback elsewhere.
 from __future__ import annotations
 
 import dataclasses
-import multiprocessing
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -45,7 +40,6 @@ from pathlib import Path
 from repro import obs
 from repro.obs import telemetry
 from repro.chaos import class_counts
-from repro.chaos import controller as chaos_controller
 from repro.chaos.policy import ChaosPolicy
 from repro.exec.cache import cache_health
 from repro.exec.job import Job
@@ -54,10 +48,9 @@ from repro.exec.supervisor import (
     DEFAULT_SUPERVISOR,
     ShutdownFlag,
     SupervisionReport,
+    Supervisor,
     SupervisorPolicy,
-    _worker_init,
-    supervise_pool,
-    validate_result,
+    _mp_context,
 )
 from repro.harness import runner as runner_mod
 from repro.sim.engine import SimulationParams, run_workload
@@ -92,20 +85,7 @@ class JobOutcome:
         return self.error is None
 
 
-# -- worker-side entry points (top level: picklable under spawn) -------------
-
-
-def _execute_job(job: Job) -> SimResult:
-    """Run one job through the shared result cache (persists its entry).
-
-    A job carrying a :class:`~repro.obs.telemetry.TraceContext` runs
-    with it as the ambient context, so the worker's sim tracer stamps
-    its place in the distributed trace into the trace-file meta.
-    """
-    if job.trace is None:
-        return job.execute()
-    with telemetry.activate(job.trace):
-        return job.execute()
+# -- worker-side entry point (top level: picklable under spawn) --------------
 
 
 def _run_config_item(item) -> SimResult:
@@ -159,7 +139,8 @@ class _Tracker:
     def failed(self) -> int:
         return self._failed.value
 
-    def _now_us(self) -> int:
+    def now_us(self) -> int:
+        """Microseconds since campaign start: the exec trace timebase."""
         return int((time.monotonic() - self._start) * 1e6)
 
     def _eta(self) -> Optional[float]:
@@ -214,15 +195,22 @@ class _Tracker:
             self._done.inc()
         else:
             self._failed.inc()
-        manifest = getattr(outcome.result, "manifest", None) or {}
+        if outcome.attempts > 1:
+            self._retried.inc(outcome.attempts - 1)
+        elapsed = None
         if outcome.ok and outcome.source == "run":
-            elapsed = manifest.get("elapsed_s")
-            if isinstance(elapsed, (int, float)):
+            manifest = getattr(outcome.result, "manifest", None) or {}
+            if isinstance(manifest.get("elapsed_s"), (int, float)):
+                elapsed = manifest["elapsed_s"]
                 self._wall_ms.record(max(0, int(elapsed * 1000)))
-            if isinstance(manifest.get("attempts"), int) and manifest["attempts"] > 1:
-                self._retried.inc(manifest["attempts"] - 1)
         if self.tracer.enabled:
-            ts = self._now_us()
+            ts = self.now_us()
+            dur = max(1, int(elapsed * 1e6)) if elapsed is not None else 1
+            if outcome.attempts > 1:
+                self.tracer.instant(
+                    "job.retried", "exec", max(0, ts - dur),
+                    job=label, attempts=outcome.attempts,
+                )
             if not outcome.ok:
                 name = (
                     "job.quarantined"
@@ -235,18 +223,6 @@ class _Tracker:
             elif outcome.source == "cache":
                 self.tracer.instant("job.cached", "exec", ts, job=label)
             else:
-                elapsed = manifest.get("elapsed_s")
-                dur = (
-                    max(1, int(elapsed * 1e6))
-                    if isinstance(elapsed, (int, float))
-                    else 1
-                )
-                attempts = manifest.get("attempts")
-                if isinstance(attempts, int) and attempts > 1:
-                    self.tracer.instant(
-                        "job.retried", "exec", max(0, ts - dur),
-                        job=label, attempts=attempts,
-                    )
                 self.tracer.span(
                     "job.done", "exec", max(0, ts - dur), dur, job=label,
                     source=outcome.source,
@@ -269,20 +245,20 @@ def run_jobs(
     jobs: Sequence[Job],
     *,
     max_workers: Optional[int] = None,
-    policy=None,
     progress: Optional[Callable[[ProgressSnapshot], None]] = None,
     supervisor: Optional[SupervisorPolicy] = None,
     chaos: Optional[ChaosPolicy] = None,
     shutdown: Optional[ShutdownFlag] = None,
 ) -> List[JobOutcome]:
-    """Execute ``jobs``, in parallel when ``max_workers > 1``.
+    """Execute ``jobs`` on a supervised pool of ``max_workers`` processes.
 
     Returns one :class:`JobOutcome` per input job **in input order**,
     regardless of completion order.  Jobs already satisfied by the result
-    cache are served without touching the pool.  Failed jobs (after the
-    policy's retries) yield ``error`` outcomes while the rest of the pool
-    drains normally; jobs that keep killing their workers are quarantined
-    per ``supervisor``.  When ``shutdown`` trips mid-campaign the drain
+    cache are served without touching the pool.  A job whose simulation
+    raises yields an ``error`` outcome at once while the rest of the pool
+    drains normally; jobs that keep crashing, hanging past the deadline,
+    or returning corrupt payloads are retried and then quarantined per
+    ``supervisor``.  When ``shutdown`` trips mid-campaign the drain
     stops gracefully and unfinished jobs are simply omitted from the
     outcome list (their cache entries were never written, so a rerun
     resumes them).  ``chaos`` arms deterministic fault injection — see
@@ -337,16 +313,30 @@ def run_jobs(
     try:
         if not pending:
             tracker.emit()
-        elif workers <= 1:
-            report = _run_serial(
-                jobs, pending, outcomes, policy, tracker,
-                supervisor=supervisor, chaos=chaos, shutdown=shutdown,
-            )
         else:
-            report = _run_pool(
-                jobs, pending, outcomes, policy, tracker, workers,
-                supervisor=supervisor, chaos=chaos, shutdown=shutdown,
+            pool = Supervisor(
+                workers, registry=tracker.registry, tracer=tracker.tracer,
+                policy=supervisor, chaos=chaos, shutdown=shutdown,
+                now_us=tracker.now_us,
             )
+
+            def record(i, result, error, source, attempts):
+                job = jobs[i]
+                if error is None:
+                    runner_mod.seed_cache(
+                        job.workload, job.config_name, result,
+                        scale=job.scale, params=job.params,
+                    )
+                elif source == "quarantined":
+                    pool.report.quarantined.append(job.describe())
+                outcomes[i] = JobOutcome(job, result, error, source, attempts)
+                tracker.running = pool.in_flight
+                tracker.step(outcomes[i])
+
+            for i in pending:
+                pool.submit(i, jobs[i])
+            pool.close()
+            report = pool.run(record)
     finally:
         _publish_health(tracker, report, chaos)
         _LAST_REPORT = report
@@ -391,128 +381,6 @@ def _exec_tracer():
         path, every=every, meta={"scope": "exec"},
         max_bytes=obs.trace_max_bytes(),
     )
-
-
-def _record(outcomes, i, job, result, error, source=None, attempts=1) -> JobOutcome:
-    if error is None:
-        runner_mod.seed_cache(
-            job.workload, job.config_name, result, scale=job.scale, params=job.params
-        )
-        outcome = JobOutcome(job, result, source=source or "run", attempts=attempts)
-    else:
-        outcome = JobOutcome(
-            job, None, error=error, source=source or "failed", attempts=attempts
-        )
-    outcomes[i] = outcome
-    return outcome
-
-
-def _run_serial(
-    jobs, pending, outcomes, policy, tracker,
-    *, supervisor=DEFAULT_SUPERVISOR, chaos=None, shutdown=None,
-) -> SupervisionReport:
-    """In-process execution (``--jobs 1``): the reference serial semantics.
-
-    The supervisor's process-level recoveries do not apply here (there
-    is no worker to crash), but result validation, corrupt-payload
-    invalidation/retry, quarantine, and graceful shutdown all do — so
-    ``--jobs 1`` and ``--jobs N`` campaigns make identical promises.
-    """
-    from repro.harness.campaign import make_resilient_executor
-
-    report = SupervisionReport()
-    registry = tracker.registry
-    previous = runner_mod._run_executor
-    if policy is not None:
-        runner_mod.set_run_executor(make_resilient_executor(policy, base=previous))
-    if chaos is not None:
-        chaos_controller.configure(chaos)
-        chaos_controller.install_executor_chaos()
-    try:
-        for i in pending:
-            if shutdown is not None and shutdown.requested:
-                report.interrupted = True
-                break
-            tracker.running = 1
-            attempt = 0
-            while True:
-                attempt += 1
-                try:
-                    with chaos_controller.job_site(jobs[i].job_id, attempt):
-                        result = _execute_job(jobs[i])
-                except Exception as exc:  # noqa: BLE001 - any failure is an outcome
-                    tracker.step(
-                        _record(
-                            outcomes, i, jobs[i], None, _describe_error(exc),
-                            attempts=attempt,
-                        )
-                    )
-                    break
-                problem = validate_result(result)
-                if problem is None:
-                    tracker.step(
-                        _record(outcomes, i, jobs[i], result, None, attempts=attempt)
-                    )
-                    break
-                runner_mod.invalidate(
-                    jobs[i].workload, jobs[i].config_name,
-                    scale=jobs[i].scale, params=jobs[i].params,
-                )
-                report.corrupt_results += 1
-                registry.counter("exec.supervisor.corrupt_results").inc()
-                if attempt >= supervisor.max_attempts:
-                    label = jobs[i].describe()
-                    report.quarantined.append(label)
-                    registry.counter("exec.supervisor.quarantined").inc()
-                    tracker.step(
-                        _record(
-                            outcomes, i, jobs[i], None,
-                            f"quarantined after {attempt} failed attempt(s); "
-                            f"last failure: corrupt result: {problem}",
-                            source="quarantined", attempts=attempt,
-                        )
-                    )
-                    break
-                report.requeues += 1
-                registry.counter("exec.supervisor.requeues").inc()
-            tracker.running = 0
-    finally:
-        if chaos is not None:
-            chaos_controller.uninstall_executor_chaos()
-            chaos_controller.deactivate()
-        if policy is not None or chaos is not None:
-            runner_mod.set_run_executor(previous)
-    return report
-
-
-def _mp_context():
-    methods = multiprocessing.get_all_start_methods()
-    return multiprocessing.get_context("fork" if "fork" in methods else None)
-
-
-def _run_pool(
-    jobs, pending, outcomes, policy, tracker, workers,
-    *, supervisor=DEFAULT_SUPERVISOR, chaos=None, shutdown=None,
-) -> SupervisionReport:
-    """Pool execution, supervised: crashes, hangs, and poison jobs are
-    incidents to recover from, not campaign-enders."""
-
-    def record(i, result, error, source, attempts):
-        outcome = _record(
-            outcomes, i, jobs[i], result, error, source=source, attempts=attempts
-        )
-        tracker.step(outcome)
-        return outcome
-
-    return supervise_pool(
-        jobs, pending, tracker, workers,
-        retry_policy=policy, supervisor=supervisor, chaos=chaos,
-        shutdown=shutdown, record=record,
-    )
-
-
-def _describe_error(exc: BaseException) -> str:
-    return f"{type(exc).__name__}: {exc}" if str(exc) else type(exc).__name__
 
 
 # -- ad-hoc parallel map for sweeps ------------------------------------------

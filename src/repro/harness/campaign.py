@@ -1,43 +1,28 @@
-"""Crash-safe campaign execution: timeouts, retries, checkpoint/resume.
+"""Crash-safe campaign execution: prefetch, checkpoint/resume.
 
 A figure-regeneration campaign (``cli all``) is hours of simulation at
-paper fidelity.  This module keeps it restartable and self-healing:
+paper fidelity.  This module keeps it restartable:
 
-* :func:`run_with_retry` wraps one simulation in a per-run timeout and
-  exponential-backoff retry loop, so a wedged or flaky run does not take
-  the whole campaign down;
-* :func:`install_retry_executor` threads that policy under the result
-  cache, so every ``cached_run`` in every experiment inherits it;
+* :func:`prefetch_experiments` is the bridge to the execution engine
+  (:mod:`repro.exec`): it plans the simulations a set of experiments
+  needs, runs them on the supervised worker pool (which bounds, retries
+  and quarantines each job — see :mod:`repro.exec.supervisor`), and
+  leaves every result cached so the table rendering that follows is
+  instant.  Each finished simulation persists atomically, so resume
+  happens at simulation granularity;
 * :class:`Campaign` walks a list of experiments, checkpointing each
   completed step to disk (atomically) so a killed campaign resumes where
-  it stopped.  Finer-grained resume — the completed *(workload, config)*
-  pairs inside an interrupted experiment — comes for free from the result
-  cache, which persists atomically after every single simulation;
-* :func:`prefetch_experiments` is the bridge to the parallel execution
-  engine (:mod:`repro.exec`): it plans the simulations a set of
-  experiments needs, fans them out across worker processes with the
-  retry policy applied *per job*, and leaves every result cached so the
-  serial table rendering that follows is instant.  With per-job caching,
-  checkpoint/resume happens at simulation granularity, not experiment
-  granularity.
+  it stopped.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import signal
 import tempfile
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeoutError
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
-
-from repro.harness import runner as runner_mod
-from repro.sim.engine import run_workload
 
 CHECKPOINT_VERSION = 1
 
@@ -48,134 +33,8 @@ FLIGHT_VERSION = 1
 DEFAULT_FLIGHT_DATA = Path(".campaign_flight.json")
 
 
-class SimulationTimeout(Exception):
-    """One simulation exceeded its per-run wall-clock budget."""
-
-
-class SimulationFailed(Exception):
-    """A simulation kept failing after every configured retry."""
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Per-run resilience knobs for campaign execution.
-
-    ``attempts`` counts total tries (1 = no retry).  Backoff before retry
-    *n* (1-based) is ``min(backoff_base * backoff_factor**(n-1),
-    max_backoff)`` seconds.  ``timeout`` is per-attempt wall-clock seconds
-    (None = unbounded).
-    """
-
-    attempts: int = 3
-    timeout: Optional[float] = None
-    backoff_base: float = 0.5
-    backoff_factor: float = 2.0
-    max_backoff: float = 30.0
-
-    def backoff(self, retry_index: int) -> float:
-        """Sleep before the ``retry_index``-th retry (1-based)."""
-        return min(
-            self.backoff_base * self.backoff_factor ** (retry_index - 1),
-            self.max_backoff,
-        )
-
-
-def _call_with_timeout(fn: Callable, args: tuple, kwargs: dict, timeout: float):
-    """Run ``fn`` with a wall-clock bound.
-
-    In the main thread of a Unix process SIGALRM interrupts the running
-    simulation directly.  Elsewhere (worker threads, platforms without
-    setitimer) the call runs on a helper thread and only the *wait* is
-    bounded — the abandoned attempt finishes in the background, which is
-    still enough for the campaign to move on.
-    """
-    use_signal = (
-        hasattr(signal, "setitimer")
-        and threading.current_thread() is threading.main_thread()
-    )
-    if use_signal:
-        def _alarm(_signum, _frame):
-            raise SimulationTimeout(f"run exceeded {timeout:g}s")
-
-        previous = signal.signal(signal.SIGALRM, _alarm)
-        signal.setitimer(signal.ITIMER_REAL, timeout)
-        try:
-            return fn(*args, **kwargs)
-        finally:
-            signal.setitimer(signal.ITIMER_REAL, 0.0)
-            signal.signal(signal.SIGALRM, previous)
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        future = pool.submit(fn, *args, **kwargs)
-        try:
-            return future.result(timeout=timeout)
-        except FutureTimeoutError:
-            future.cancel()
-            raise SimulationTimeout(f"run exceeded {timeout:g}s") from None
-
-
-def run_with_retry(
-    fn: Callable,
-    *args,
-    policy: RetryPolicy = RetryPolicy(),
-    sleep: Callable[[float], None] = time.sleep,
-    **kwargs,
-):
-    """Call ``fn`` under the policy's timeout, retrying with backoff.
-
-    Raises :class:`SimulationFailed` (chaining the last error) once every
-    attempt is spent.  ``sleep`` is injectable so tests assert backoff
-    without waiting for it.
-    """
-    if policy.attempts < 1:
-        raise ValueError("RetryPolicy.attempts must be >= 1")
-    last_error: Optional[BaseException] = None
-    for attempt in range(1, policy.attempts + 1):
-        try:
-            if policy.timeout is not None:
-                outcome = _call_with_timeout(fn, args, kwargs, policy.timeout)
-            else:
-                outcome = fn(*args, **kwargs)
-        except (SimulationTimeout, Exception) as exc:  # noqa: B014
-            last_error = exc
-            if attempt < policy.attempts:
-                sleep(policy.backoff(attempt))
-        else:
-            # Provenance: how many attempts this result actually took
-            # (surfaced by `repro manifest show` and the exec tracer).
-            manifest = getattr(outcome, "manifest", None)
-            if isinstance(manifest, dict):
-                manifest["attempts"] = attempt
-            return outcome
-    raise SimulationFailed(
-        f"{getattr(fn, '__name__', fn)!s} failed after "
-        f"{policy.attempts} attempt(s): {last_error}"
-    ) from last_error
-
-
-def make_resilient_executor(
-    policy: RetryPolicy,
-    base: Callable = run_workload,
-    sleep: Callable[[float], None] = time.sleep,
-) -> Callable:
-    """A ``run_workload``-shaped callable wrapped in timeout + retry."""
-
-    def executor(workload, config, params=None, **kwargs):
-        return run_with_retry(
-            base, workload, config, params, policy=policy, sleep=sleep, **kwargs
-        )
-
-    return executor
-
-
-def install_retry_executor(
-    policy: RetryPolicy, base: Callable = run_workload
-) -> None:
-    """Route every uncached `cached_run` through timeout + retry."""
-    runner_mod.set_run_executor(make_resilient_executor(policy, base))
-
-
 # ---------------------------------------------------------------------------
-# parallel prefetch
+# prefetch
 
 
 def prefetch_experiments(
@@ -183,7 +42,6 @@ def prefetch_experiments(
     params,
     *,
     jobs: Optional[int] = None,
-    policy: Optional[RetryPolicy] = None,
     stream=None,
     supervisor=None,
     chaos=None,
@@ -192,13 +50,13 @@ def prefetch_experiments(
 ):
     """Fan out every simulation the given experiments need, ahead of time.
 
-    Plans the (deduped) job list, runs it on the multiprocess scheduler,
+    Plans the (deduped) job list, runs it on the supervised scheduler,
     and returns ``(outcomes, failures)`` — ``failures`` being the outcomes
-    of jobs that kept failing after the policy's retries.  Successful
-    results land in the (sharded, concurrency-safe) result cache, so the
-    experiments' own serial loops replay from memory and their output is
-    bit-identical to a fully serial run.  Progress (done/running/failed +
-    ETA) goes to ``stream`` (default stderr).
+    of jobs that failed or were quarantined.  Successful results land in
+    the (sharded, concurrency-safe) result cache, so the experiments' own
+    loops replay from memory and their output is bit-identical whatever
+    the worker count.  Progress (done/running/failed + ETA) goes to
+    ``stream`` (default stderr).
 
     ``supervisor``, ``chaos``, and ``shutdown`` thread straight through to
     :func:`repro.exec.run_jobs` — watchdog deadlines, fault injection,
@@ -218,7 +76,7 @@ def prefetch_experiments(
         return [], []
     printer = ProgressPrinter(stream if stream is not None else sys.stderr)
     outcomes = run_jobs(
-        plan.jobs, max_workers=jobs, policy=policy, progress=printer,
+        plan.jobs, max_workers=jobs, progress=printer,
         supervisor=supervisor, chaos=chaos, shutdown=shutdown,
     )
     printer.finish()

@@ -6,7 +6,7 @@ Usage::
     python -m repro.harness.cli fig10
     python -m repro.harness.cli table4 --accesses 8000
     python -m repro.harness.cli faults --fault-rate 3e13 --ecc secded
-    python -m repro.harness.cli all --timeout 900 --retries 2 --jobs 8
+    python -m repro.harness.cli all --jobs 8 --deadline 900
     python -m repro.harness.cli fig10 --trace /tmp/dice-trace.jsonl
     python -m repro.harness.cli fig10 --profile /tmp/dice.prof.json
     python -m repro.harness.cli trace summarize /tmp/dice-trace.jsonl
@@ -24,11 +24,14 @@ configurations with the first is nearly instant.  ``all`` checkpoints its
 progress: a killed campaign resumes from the last completed experiment
 (pass ``--no-resume`` to start over).
 
-Simulations fan out across worker processes: ``--jobs N`` (default: the
-``REPRO_JOBS`` environment variable, else the machine's CPU count) runs
-the planned simulations N-wide before the tables are rendered serially,
-so parallel output is bit-identical to ``--jobs 1``.  A progress line
-(jobs done/running/failed plus ETA) is written to stderr.
+Every simulation runs on one supervised worker pool: ``--jobs N``
+(default: the ``REPRO_JOBS`` environment variable, else the machine's CPU
+count) runs the planned simulations N-wide before the tables are
+rendered from the result cache, so the output is bit-identical whatever
+N is.  ``--deadline S`` bounds each job's wall clock: the watchdog kills
+a job that overstays it and retries it, quarantining it after repeated
+offences.  A progress line (jobs done/running/failed plus ETA) is
+written to stderr.
 
 ``cli chaos`` runs the self-verifying chaos campaign: seeded faults are
 injected at every exec seam and the final results asserted bit-identical
@@ -48,12 +51,13 @@ merges their per-process JSONL files into one chrome://tracing document,
 objectives (exit 6 when one is failing or burning its budget).
 
 Exit codes: 0 success, 2 usage error (unknown experiment/flag), 3 a
-simulation failed after all retries (remaining jobs are still drained
+simulation failed or was quarantined (remaining jobs are still drained
 and cached, so a re-run only repeats the failures), 4 the fidelity
 scoreboard drifted out of its tolerance band (``report --flight
 --check``), 5 the campaign was interrupted (SIGTERM/SIGINT) and stopped
 gracefully at a resumable checkpoint, 6 an SLO check failed (``slo
-check``).
+check``).  ``cli serve`` exits 1 when its supervisor thread failed (it
+drains and checkpoints first).
 """
 
 from __future__ import annotations
@@ -62,14 +66,7 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.harness.campaign import (
-    Campaign,
-    RetryPolicy,
-    SimulationFailed,
-    SimulationTimeout,
-    install_retry_executor,
-    prefetch_experiments,
-)
+from repro.harness.campaign import Campaign, prefetch_experiments
 from repro.harness import experiments
 from repro.harness.experiments import EXPERIMENTS  # re-exported for callers
 from repro.harness.report import format_table
@@ -89,6 +86,8 @@ DEFAULT_SEED = SimulationParams().seed
 
 
 def run_one(key: str, params: SimulationParams) -> None:
+    """Render one experiment's table (from the result cache once its
+    simulations were prefetched)."""
     title, fn = EXPERIMENTS[key]
     if key == "fig4":
         headers, rows, summary = experiments.fig04_compressibility()
@@ -105,7 +104,6 @@ def _prefetch(
     keys: List[str],
     params: SimulationParams,
     jobs: Optional[int],
-    policy: Optional[RetryPolicy],
     supervisor=None,
     chaos=None,
     shutdown=None,
@@ -119,7 +117,7 @@ def _prefetch(
     tidy per-(workload, design, rep) CSV from the outcomes.
     """
     outcomes, failures = prefetch_experiments(
-        keys, params, jobs=jobs, policy=policy,
+        keys, params, jobs=jobs,
         supervisor=supervisor, chaos=chaos, shutdown=shutdown,
         repetitions=repetitions,
     )
@@ -154,20 +152,26 @@ def _prefetch(
 def _chaos_command(argv: List[str]) -> int:
     """``repro chaos`` — a self-verifying campaign under fault injection.
 
-    Three phases over isolated throwaway cache stores:
+    Four phases over isolated throwaway cache stores:
 
     1. **reference** — the planned jobs run fault-free;
     2. **chaotic** — the same jobs run with seeded faults injected at
        every exec seam (worker crash, hang, torn shard write, failed
        shard write, corrupted payload) under the supervised scheduler;
     3. **cold resume** — chaos off, memory state dropped, the chaotic
-       cache is read back through its torn/missing shards.
+       cache is read back through its torn/missing shards;
+    4. **daemon** — the same jobs submitted to an in-process campaign
+       daemon on a fresh store, with the same faults and deadline.
 
-    Exit 0 requires every fault class to have fired at least once *and*
-    the chaotic and resumed results to be bit-identical to the reference
-    run.  This is the executable proof behind the robustness claims: the
-    harness survives the failure taxonomy it documents.
+    Exit 0 requires every fault class to have fired at least once in
+    both chaotic phases, no job to be quarantined, *and* the chaotic,
+    resumed and daemon results to be bit-identical to the reference run.
+    This is the executable proof behind the robustness claims: the
+    harness survives the failure taxonomy it documents, on every path
+    that executes jobs.
     """
+    import dataclasses
+    import json
     import os
     import shutil
     import tempfile
@@ -243,7 +247,7 @@ def _chaos_command(argv: List[str]) -> int:
     original_env = os.environ.get("REPRO_CACHE_PATH")
     try:
         # Phase 1: fault-free reference in its own store.
-        print(f"chaos: phase 1/3 — reference run ({len(plan.jobs)} jobs)")
+        print(f"chaos: phase 1/4 — reference run ({len(plan.jobs)} jobs)")
         runner_mod.set_cache_path(workdir / "reference.sim_cache.json")
         phase_started = time.monotonic()
         reference_outcomes = run_jobs(plan.jobs, max_workers=args.jobs)
@@ -279,7 +283,7 @@ def _chaos_command(argv: List[str]) -> int:
             ledger_path=str(workdir / "chaos_ledger.jsonl"),
         ).ensure_coverage(job_ids)
         print(
-            f"chaos: phase 2/3 — chaotic run ({policy.describe()}, "
+            f"chaos: phase 2/4 — chaotic run ({policy.describe()}, "
             f"deadline {deadline:.1f}s)"
         )
         runner_mod.set_cache_path(workdir / "chaotic.sim_cache.json")
@@ -312,32 +316,58 @@ def _chaos_command(argv: List[str]) -> int:
 
         # Phase 3: cold resume through the chaotic store (torn shards
         # quarantine on read; missing entries re-simulate).
-        print("chaos: phase 3/3 — cold resume on the chaotic cache")
+        print("chaos: phase 3/4 — cold resume on the chaotic cache")
         runner_mod.drop_memory_state()
         resumed_outcomes = run_jobs(plan.jobs, max_workers=args.jobs)
         resumed = {o.job.job_id: o.result for o in resumed_outcomes if o.ok}
 
-        coverage = class_counts(policy.ledger_path)
+        # Phase 4: the daemon path, same faults and deadline, fresh store.
+        daemon_policy = dataclasses.replace(
+            policy, ledger_path=str(workdir / "daemon_ledger.jsonl")
+        )
+        print("chaos: phase 4/4 — daemon run under the same faults")
+        runner_mod.set_cache_path(workdir / "daemon.sim_cache.json")
+        served = _serve_in_process(
+            plan.jobs, workdir,
+            workers=args.jobs,
+            supervisor=SupervisorPolicy(deadline=deadline),
+            chaos=daemon_policy,
+        )
+
+        def canonical(payload):
+            payload = {k: v for k, v in payload.items() if k != "manifest"}
+            return json.dumps(payload, sort_keys=True)
+
         failures: List[str] = []
-        for fault in policy.classes:
-            if coverage.get(fault, 0) < 1:
-                failures.append(f"fault class never fired: {fault}")
+        for phase, chaos_policy in (("", policy), ("daemon ", daemon_policy)):
+            coverage = class_counts(chaos_policy.ledger_path)
+            for fault in chaos_policy.classes:
+                if coverage.get(fault, 0) < 1:
+                    failures.append(f"{phase}fault class never fired: {fault}")
+            injected = ", ".join(
+                f"{fault}×{coverage.get(fault, 0)}"
+                for fault in chaos_policy.classes
+            )
+            print(f"chaos: {phase}injected {injected}")
         quarantined = [o for o in chaotic_outcomes if o.source == "quarantined"]
         for outcome in quarantined:
             failures.append(
                 f"job quarantined under chaos: {outcome.job.describe()} "
                 f"({outcome.error})"
             )
+        for jid, error in sorted(served["errors"].items()):
+            failures.append(f"daemon job failed under chaos: {jid} ({error})")
         for jid in job_ids:
             if chaotic.get(jid) != reference.get(jid):
                 failures.append(f"chaotic result differs from reference: {jid}")
             if resumed.get(jid) != reference.get(jid):
                 failures.append(f"resumed result differs from reference: {jid}")
+            payload = served["results"].get(jid)
+            if payload is None or canonical(payload) != canonical(
+                dataclasses.asdict(reference[jid])
+            ):
+                failures.append(f"daemon result differs from reference: {jid}")
 
-        injected = ", ".join(
-            f"{fault}×{coverage.get(fault, 0)}" for fault in policy.classes
-        )
-        print(f"chaos: injected {injected}")
         if report is not None:
             print(f"chaos: supervisor saw {report.describe()}")
         if failures:
@@ -351,7 +381,8 @@ def _chaos_command(argv: List[str]) -> int:
             return EXIT_SIM_FAILURE
         print(
             f"chaos: OK — {len(plan.jobs)} jobs bit-identical to the "
-            f"fault-free reference, through every injected fault class"
+            f"fault-free reference, through every injected fault class, "
+            f"in the CLI and the daemon"
         )
         return EXIT_OK
     finally:
@@ -364,6 +395,44 @@ def _chaos_command(argv: List[str]) -> int:
             print(f"chaos: workdir kept at {workdir}", file=sys.stderr)
         else:
             shutil.rmtree(workdir, ignore_errors=True)
+
+
+def _serve_in_process(jobs, workdir, **config) -> dict:
+    """Run ``jobs`` as one campaign on an in-process daemon; the
+    campaign's ``/results`` document."""
+    import asyncio
+    import threading
+
+    from repro.service import ServiceConfig, run_service
+    from repro.service.client import ServiceClient
+    from repro.service.state import job_to_spec
+
+    ready = threading.Event()
+    box = {}
+
+    def on_ready(service) -> None:
+        box["port"] = service.port
+        ready.set()
+
+    service_config = ServiceConfig(
+        port=0, max_queue=len(jobs), resume=False, promote=False,
+        checkpoint=workdir / "daemon.checkpoint.json", **config,
+    )
+    thread = threading.Thread(
+        target=lambda: asyncio.run(run_service(service_config, ready=on_ready)),
+        daemon=True,
+    )
+    thread.start()
+    if not ready.wait(60):
+        raise RuntimeError("the in-process daemon did not start")
+    client = ServiceClient("127.0.0.1", box["port"], timeout=600.0)
+    try:
+        return client.run_campaign(
+            client="chaos", jobs=[job_to_spec(job) for job in jobs]
+        )
+    finally:
+        client.drain()
+        thread.join(60)
 
 
 def _trace_command(argv: List[str]) -> int:
@@ -720,13 +789,17 @@ def _serve_command(argv: List[str]) -> int:
     The daemon owns one supervised worker pool and the shared result
     cache; clients submit campaigns over HTTP (``cli submit``, or plain
     ``curl``) and stream NDJSON progress back.  SIGTERM drains
-    gracefully: in-flight jobs get a grace window, unfinished campaigns
-    checkpoint, and a restart resumes them bit-identically from cache.
+    gracefully: in-flight jobs get a grace window (then their workers
+    are terminated), unfinished campaigns checkpoint, and a restart
+    resumes them bit-identically from cache.  ``REPRO_CHAOS`` arms fault
+    injection in the daemon's workers, as it does for any command.
     """
     import asyncio
     import os
     from pathlib import Path
 
+    from repro.chaos import from_env as chaos_from_env
+    from repro.exec import SupervisorPolicy
     from repro.obs import slo as slo_mod
     from repro.service import DEFAULT_CHECKPOINT, ServiceConfig, run_service
 
@@ -757,7 +830,8 @@ def _serve_command(argv: List[str]) -> int:
         "--grace",
         type=float,
         default=10.0,
-        help="drain: seconds in-flight jobs may finish in before checkpoint",
+        help="drain: seconds in-flight jobs may finish in before their "
+        "workers are terminated and the rest checkpointed",
     )
     parser.add_argument(
         "--checkpoint",
@@ -818,7 +892,8 @@ def _serve_command(argv: List[str]) -> int:
         port=args.port,
         workers=args.jobs,
         max_queue=args.max_queue,
-        grace=args.grace,
+        supervisor=SupervisorPolicy(grace=args.grace),
+        chaos=chaos_from_env(),
         checkpoint=Path(args.checkpoint),
         resume=not args.no_resume,
         promote=not args.no_promote,
@@ -1287,23 +1362,11 @@ def main(argv=None) -> int:
         help="ECC model applied to injected faults (default: secded)",
     )
     parser.add_argument(
-        "--timeout",
-        type=float,
-        default=None,
-        help="wall-clock seconds allowed per simulation attempt",
-    )
-    parser.add_argument(
-        "--retries",
-        type=int,
-        default=0,
-        help="retries (with exponential backoff) per failed simulation",
-    )
-    parser.add_argument(
         "--jobs",
         type=int,
         default=None,
-        help="parallel simulation worker processes "
-        "(default: REPRO_JOBS or the CPU count; 1 disables the pool)",
+        help="simulation worker processes "
+        "(default: REPRO_JOBS or the CPU count)",
     )
     parser.add_argument(
         "--no-resume",
@@ -1384,7 +1447,6 @@ def main(argv=None) -> int:
             print(f"  {key:8s} {title}")
         return EXIT_OK
 
-    from repro.exec import resolve_jobs
     from repro.harness.runner import DEFAULT_ACCESSES
 
     params = SimulationParams(
@@ -1393,10 +1455,6 @@ def main(argv=None) -> int:
         fault_rate=args.fault_rate,
         ecc=args.ecc,
     )
-    if args.retries < 0:
-        parser.error("--retries must be >= 0")
-    if args.timeout is not None and args.timeout <= 0:
-        parser.error("--timeout must be positive")
     if args.jobs is not None and args.jobs < 1:
         parser.error("--jobs must be >= 1")
     if args.repetitions < 1:
@@ -1406,11 +1464,6 @@ def main(argv=None) -> int:
         from repro.analysis.runtable import DEFAULT_RUN_TABLE
 
         run_table = DEFAULT_RUN_TABLE
-    policy: Optional[RetryPolicy] = None
-    if args.timeout is not None or args.retries:
-        policy = RetryPolicy(attempts=args.retries + 1, timeout=args.timeout)
-        install_retry_executor(policy)
-    jobs = resolve_jobs(args.jobs)
 
     # Chaos arms from the flags, else from REPRO_CHAOS (so any command can
     # run under injection); the supervisor deadline from --deadline.
@@ -1429,11 +1482,7 @@ def main(argv=None) -> int:
         chaos = chaos_from_env()
     if args.deadline is not None and args.deadline <= 0:
         parser.error("--deadline must be positive")
-    supervisor = (
-        SupervisorPolicy(deadline=args.deadline)
-        if args.deadline is not None
-        else None
-    )
+    supervisor = SupervisorPolicy(deadline=args.deadline)
 
     if args.experiment == "all":
         keys = list(EXPERIMENTS)
@@ -1444,18 +1493,13 @@ def main(argv=None) -> int:
                 parser.error(f"unknown experiment(s): {', '.join(unknown)}")
         shutdown = ShutdownFlag()
         with graceful_signals(shutdown):
-            statistical = args.repetitions > 1 or run_table is not None
-            if (
-                jobs > 1 or chaos is not None or supervisor is not None
-                or statistical
-            ):
-                status = _prefetch(
-                    keys, params, jobs, policy,
-                    supervisor=supervisor, chaos=chaos, shutdown=shutdown,
-                    repetitions=args.repetitions, run_table=run_table,
-                )
-                if status != EXIT_OK:
-                    return status
+            status = _prefetch(
+                keys, params, args.jobs,
+                supervisor=supervisor, chaos=chaos, shutdown=shutdown,
+                repetitions=args.repetitions, run_table=run_table,
+            )
+            if status != EXIT_OK:
+                return status
             # A campaign context ties the checkpoint to these parameters,
             # so a resume never skips work done at different settings.
             context = (
@@ -1478,16 +1522,7 @@ def main(argv=None) -> int:
                     else None
                 ),
             )
-            try:
-                campaign.run(should_stop=lambda: shutdown.requested)
-            except (SimulationFailed, SimulationTimeout) as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                print(
-                    f"campaign stopped after {len(campaign.completed)} of "
-                    f"{len(campaign.steps)} experiments; re-run to resume",
-                    file=sys.stderr,
-                )
-                return EXIT_SIM_FAILURE
+            campaign.run(should_stop=lambda: shutdown.requested)
             if campaign.interrupted:
                 print(
                     f"interrupted: campaign checkpointed after "
@@ -1508,22 +1543,14 @@ def main(argv=None) -> int:
 
     if args.experiment not in EXPERIMENTS:
         parser.error(f"unknown experiment {args.experiment!r}; try `list`")
-    if (
-        jobs > 1 or chaos is not None or supervisor is not None
-        or args.repetitions > 1 or run_table is not None
-    ):
-        status = _prefetch(
-            [args.experiment], params, jobs, policy,
-            supervisor=supervisor, chaos=chaos,
-            repetitions=args.repetitions, run_table=run_table,
-        )
-        if status != EXIT_OK:
-            return status
-    try:
-        run_one(args.experiment, params)
-    except (SimulationFailed, SimulationTimeout) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SIM_FAILURE
+    status = _prefetch(
+        [args.experiment], params, args.jobs,
+        supervisor=supervisor, chaos=chaos,
+        repetitions=args.repetitions, run_table=run_table,
+    )
+    if status != EXIT_OK:
+        return status
+    run_one(args.experiment, params)
     return EXIT_OK
 
 

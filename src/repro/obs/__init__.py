@@ -95,6 +95,7 @@ __all__ = [
     "instrument_method",
     "metric_key",
     "metrics_settings",
+    "name_runs_as_parent",
     "parse_metric_key",
     "profile_settings",
     "read_events",
@@ -119,6 +120,21 @@ _explicit: Dict[str, Optional[object]] = {
     "ts_every": None,
 }
 _run_seq = itertools.count()
+_sole_worker = False
+
+
+def name_runs_as_parent(offset: int) -> None:
+    """Name this worker process's run files as its parent would.
+
+    The worker of a one-worker pool is the only process writing run
+    files, so it drops the ``.w<pid>`` tag and continues the parent's
+    sequence ``offset`` runs on (past what earlier pools may have
+    written): ``--jobs 1 --trace t.jsonl`` writes ``t.jsonl``,
+    ``t.2.jsonl``, … exactly as an in-process campaign would.
+    """
+    global _run_seq, _sole_worker
+    _sole_worker = True
+    _run_seq = itertools.count(next(_run_seq) + offset)
 
 
 def configure(
@@ -211,14 +227,15 @@ def _uniquify(path_str: str, n: int) -> Path:
 
     Worker processes of a parallel campaign inherit the parent's run
     counter, so their paths additionally carry the worker PID — N workers
-    tracing concurrently never clobber each other's files.
+    tracing concurrently never clobber each other's files (a sole worker
+    needs no tag; see :func:`name_runs_as_parent`).
     """
     path = Path(path_str)
     stem = path.stem
     try:
         import multiprocessing
 
-        if multiprocessing.parent_process() is not None:
+        if not _sole_worker and multiprocessing.parent_process() is not None:
             stem = f"{stem}.w{os.getpid()}"
     except (ImportError, AttributeError):
         pass

@@ -20,13 +20,20 @@ microseconds.  The contract, endpoint by endpoint:
   stats, and the full ``service.*`` metrics registry.
 * SIGTERM (or ``POST /drain``) — graceful drain: stop admitting, give
   in-flight jobs a grace window (each persists its own cache shard),
-  checkpoint the specs of unfinished campaigns, exit 0.  A restarted
-  daemon re-plans those specs and the cache answers everything that
-  already ran — bit-identical resume.
+  terminate the workers still running after it, checkpoint the specs of
+  unfinished campaigns, exit 0.  A restarted daemon re-plans those specs
+  and the cache answers everything that already ran — bit-identical
+  resume.
 
 Scheduling is fair per client: pending jobs live on per-client queues
 and the dispatcher round-robins between them, so one client submitting
-a thousand-job sweep cannot starve another's three-job smoke run.
+a thousand-job sweep cannot starve another's three-job smoke run.  It
+hands one job per free worker slot to the daemon's
+:class:`~repro.exec.supervisor.Supervisor`, which one thread drives: the
+same loop the CLI runs, with its watchdog, crash attribution,
+quarantine and result validation.  Outcomes come back to the event loop
+through ``call_soon_threadsafe``, so all daemon state stays on the
+event-loop thread.
 """
 
 from __future__ import annotations
@@ -35,18 +42,21 @@ import asyncio
 import dataclasses
 import json
 import secrets
+import signal
+import sys
+import threading
 import time
+import traceback
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Deque, Dict, List, Optional, Tuple
 
 from repro import obs
+from repro.chaos.policy import ChaosPolicy
 from repro.exec.job import Job
-from repro.exec.scheduler import _execute_job, _mp_context, resolve_jobs
-from repro.exec.supervisor import validate_result
+from repro.exec.scheduler import resolve_jobs
+from repro.exec.supervisor import DEFAULT_SUPERVISOR, Supervisor, SupervisorPolicy
 from repro.harness import runner as runner_mod
 from repro.obs import slo as slo_mod
 from repro.obs import telemetry
@@ -69,8 +79,6 @@ from repro.service.store import ContentStore
 from repro.sim.engine import SimulationParams
 from repro.sim.metrics import SimResult
 
-MAX_JOB_ATTEMPTS = 3
-
 
 @dataclass
 class ServiceConfig:
@@ -80,7 +88,9 @@ class ServiceConfig:
     port: int = 7414
     workers: Optional[int] = None  # None: REPRO_JOBS / CPU count
     max_queue: int = 256  # pending (not yet running) jobs across clients
-    grace: float = 10.0  # drain: seconds in-flight jobs may finish in
+    # per-job deadline, attempts, and the drain grace window (--grace)
+    supervisor: SupervisorPolicy = DEFAULT_SUPERVISOR
+    chaos: Optional[ChaosPolicy] = None  # fault injection (REPRO_CHAOS)
     checkpoint: Path = DEFAULT_CHECKPOINT
     resume: bool = True
     promote: bool = True  # promote the shard store into the content store
@@ -110,11 +120,17 @@ class SimService:
         self._draining = False
         self._started = time.monotonic()
         self._server: Optional[asyncio.AbstractServer] = None
-        self._pool: Optional[ProcessPoolExecutor] = None
+        self._supervisor = Supervisor(
+            self.workers, registry=self.registry, scope="service",
+            policy=self.config.supervisor, chaos=self.config.chaos,
+        )
+        self._supervisor_thread: Optional[threading.Thread] = None
+        self.failure: Optional[str] = None  # why the supervisor thread died
+        self._aborting: Optional[asyncio.Task] = None  # the drain it forced
         self._slots: Optional[asyncio.Semaphore] = None
         self._wakeup: Optional[asyncio.Event] = None
         self._stopped: Optional[asyncio.Event] = None
-        self._tasks: set = set()
+        self._tasks: set = set()  # outcomes being delivered
         self._dispatcher: Optional[asyncio.Task] = None
         # the metric names the acceptance tests and docs rely on
         self._m_submitted = self.registry.counter("service.campaigns.submitted")
@@ -182,13 +198,28 @@ class SimService:
         return self._server.sockets[0].getsockname()[1]
 
     async def start(self) -> None:
-        """Bind, spin up the pool, promote the cache, resume checkpoints."""
+        """Bind, start the supervisor, promote the cache, resume checkpoints."""
         self._slots = asyncio.Semaphore(self.workers)
         self._wakeup = asyncio.Event()
         self._stopped = asyncio.Event()
-        self._pool = ProcessPoolExecutor(
-            max_workers=self.workers, mp_context=_mp_context()
+        loop = asyncio.get_running_loop()
+
+        def deliver(job, result, error, _source, attempts) -> None:
+            loop.call_soon_threadsafe(
+                self._on_outcome, job, result, error, attempts
+            )
+
+        def supervise() -> None:
+            try:
+                self._supervisor.run(deliver)
+            except Exception as exc:  # noqa: BLE001 - no job can run now
+                traceback.print_exc()
+                loop.call_soon_threadsafe(self._abort, exc)
+
+        self._supervisor_thread = threading.Thread(
+            target=supervise, name="repro-supervisor", daemon=True,
         )
+        self._supervisor_thread.start()
         if self.config.promote:
             promoted = self.store.promote(runner_mod._store().read_all())
             if promoted > 0:
@@ -214,14 +245,15 @@ class SimService:
         self._wakeup.set()
         if self._server is not None:
             self._server.close()
-        # Give in-flight jobs their grace window; each one that finishes
+        # The supervisor gives in-flight jobs their grace window, then
+        # terminates the workers still running; each job that finishes
         # persists its own cache shard, shrinking what resume must redo.
-        deadline = time.monotonic() + self.config.grace
-        while self._tasks and time.monotonic() < deadline:
-            await asyncio.wait(
-                list(self._tasks),
-                timeout=max(0.05, deadline - time.monotonic()),
-            )
+        self._supervisor.shutdown.trip(signal.SIGTERM)
+        self._supervisor.close()
+        if self._supervisor_thread is not None:  # None: never started
+            await asyncio.to_thread(self._supervisor_thread.join)
+        if self._tasks:
+            await asyncio.wait(list(self._tasks))
         unfinished = [
             campaign
             for campaign in self.campaigns.values()
@@ -245,12 +277,18 @@ class SimService:
                 campaign._event_cond.notify_all()
         if self._dispatcher is not None:
             self._dispatcher.cancel()
-        if self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
         if self._server is not None:
             await self._server.wait_closed()
         self.tracer.close()
         self._stopped.set()
+
+    def _abort(self, exc: Exception) -> None:
+        """The supervisor thread died: drain, checkpointing unfinished
+        campaigns for a restart to resume."""
+        self.failure = f"{type(exc).__name__}: {exc}"
+        self._aborting = asyncio.get_running_loop().create_task(
+            self.drain(f"supervisor failed: {self.failure}")
+        )
 
     async def _resume_checkpoint(self) -> None:
         specs = load_checkpoint(Path(self.config.checkpoint))
@@ -473,6 +511,7 @@ class SimService:
         return None
 
     async def _dispatch(self) -> None:
+        """Hand the supervisor one job per free worker slot, fairly."""
         while not self._draining:
             job = self._next_job()
             if job is None:
@@ -484,9 +523,8 @@ class SimService:
                 self._slots.release()
                 break
             self._publish_gauges()
-            task = asyncio.create_task(self._run_job(job))
-            self._tasks.add(task)
-            task.add_done_callback(self._tasks.discard)
+            self._begin_run(job)
+            self._supervisor.submit(job, job)
 
     def _begin_run(self, job: Job) -> None:
         """Mark a dequeued job running in every campaign subscribed to it."""
@@ -510,58 +548,20 @@ class SimService:
                 parent_id=job.trace.parent_id,
             )
 
-    async def _run_job(self, job: Job) -> None:
-        """Execute one job on the pool; validate, retry, then finalize."""
-        loop = asyncio.get_running_loop()
-        error: Optional[str] = None
-        result: Optional[SimResult] = None
-        attempts = 0
-        self._begin_run(job)
-        try:
-            while attempts < MAX_JOB_ATTEMPTS:
-                attempts += 1
-                try:
-                    result = await loop.run_in_executor(
-                        self._pool, _execute_job, job
-                    )
-                except BrokenProcessPool:
-                    self._rebuild_pool()
-                    self.registry.counter(
-                        "service.supervisor.pool_rebuilds"
-                    ).inc()
-                    error = "worker pool broke (rebuilt)"
-                    result = None
-                    continue
-                except asyncio.CancelledError:
-                    raise
-                except Exception as exc:  # noqa: BLE001 - any failure is an outcome
-                    error = f"{type(exc).__name__}: {exc}"
-                    result = None
-                    break
-                problem = validate_result(result)
-                if problem is None:
-                    error = None
-                    break
-                runner_mod.invalidate(
-                    job.workload, job.config_name,
-                    scale=job.scale, params=job.params,
-                )
-                self._payloads.pop(job.job_id, None)
-                error = f"corrupt result: {problem}"
-                result = None
-            if attempts > 1:
-                self._m_retried.inc(attempts - 1)
-            await self._finalize_run(job, result, error)
-        finally:
-            self._slots.release()
-            self._publish_gauges()
-
-    def _rebuild_pool(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
-        self._pool = ProcessPoolExecutor(
-            max_workers=self.workers, mp_context=_mp_context()
+    def _on_outcome(
+        self, job: Job, result: Optional[SimResult], error: Optional[str],
+        attempts: int,
+    ) -> None:
+        """A job's final outcome, back on the event-loop thread: free its
+        worker slot, then deliver it to every subscribed campaign."""
+        if attempts > 1:
+            self._m_retried.inc(attempts - 1)
+        self._slots.release()
+        task = asyncio.get_running_loop().create_task(
+            self._finalize_run(job, result, error)
         )
+        self._tasks.add(task)
+        task.add_done_callback(self._tasks.discard)
 
     async def _finalize_run(
         self, job: Job, result: Optional[SimResult], error: Optional[str]
@@ -604,6 +604,7 @@ class SimService:
                 self._h_wall.record(int(wall_ms))
         else:
             self._m_failed.inc()
+        self._publish_gauges()
         if run is None:
             return
         for position, (campaign, sub_job) in enumerate(run.subscribers):
@@ -1030,15 +1031,13 @@ async def run_service(config: ServiceConfig, *, ready=None) -> int:
     ``ready`` (if given) is called with the service once it is listening —
     the smoke script and tests use it to learn an ephemeral port.  SIGTERM
     and SIGINT trigger a graceful drain when the loop allows handler
-    installation (i.e. in a real ``cli serve`` process).
+    installation (i.e. in a real ``cli serve`` process).  Returns 0, or
+    1 when the drain was forced by a failed supervisor.
     """
-    import signal as signal_mod
-    import sys
-
     service = SimService(config)
     await service.start()
     loop = asyncio.get_running_loop()
-    for signum in (signal_mod.SIGTERM, signal_mod.SIGINT):
+    for signum in (signal.SIGTERM, signal.SIGINT):
         try:
             loop.add_signal_handler(
                 signum,
@@ -1055,9 +1054,11 @@ async def run_service(config: ServiceConfig, *, ready=None) -> int:
     if ready is not None:
         ready(service)
     await service.serve_forever()
+    if service.failure is not None:
+        print(f"service: supervisor failed: {service.failure}", file=sys.stderr)
     print(
         f"service: drained — {len(service.campaigns)} campaign(s) served",
         file=sys.stderr,
         flush=True,
     )
-    return 0
+    return 0 if service.failure is None else 1

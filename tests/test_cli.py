@@ -68,11 +68,10 @@ def test_negative_retries_rejected():
 
 
 def test_simulation_failure_exit_code(capsys, monkeypatch):
-    from repro.harness.campaign import SimulationFailed
     from repro.harness.runner import set_run_executor
 
     def doomed(workload, config, params=None, **kwargs):
-        raise SimulationFailed("all retries spent")
+        raise RuntimeError("all retries spent")
 
     monkeypatch.setattr(runner_mod, "_disk_store", {})
     set_run_executor(doomed)

@@ -215,11 +215,16 @@ class TestExecProgressFromRegistry:
                 instructions=1, per_core_ipc=[1.0], l3_hit_rate=0.0,
                 l4_hit_rate=0.0, l4_accesses=0, l4_bytes=0, mem_accesses=0,
                 mem_bytes=0, energy_nj=0.0, effective_capacity=0.0,
-                manifest={"elapsed_s": elapsed, "attempts": 2},
+                manifest={"elapsed_s": elapsed},
             )
 
-        tracker.step(JobOutcome(_FakeJob(), fake_result(0.1), source="run"))
-        tracker.step(JobOutcome(_FakeJob(), fake_result(0.3), source="run"))
+        # retries are the supervisor's requeues, carried on the outcome
+        tracker.step(
+            JobOutcome(_FakeJob(), fake_result(0.1), source="run", attempts=2)
+        )
+        tracker.step(
+            JobOutcome(_FakeJob(), fake_result(0.3), source="run", attempts=2)
+        )
         snap = seen[-1]
         assert snap.done == 4 and snap.cached == 2
         assert snap.cache_hit_pct == pytest.approx(50.0)

@@ -15,16 +15,23 @@ The load-bearing assertions mirror the service's contract:
 
 from __future__ import annotations
 
+import errno
+import multiprocessing
+import os
+import signal
 import threading
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
 import repro.harness.runner as runner_mod
+from repro.exec import Supervisor, SupervisorPolicy
 from repro.exec.progress import ProgressSnapshot
 from repro.harness.runner import set_run_executor
 from repro.service import ServiceConfig, SimService
 from repro.service.client import ServiceClient, ServiceError
+from repro.service.state import load_checkpoint
 from repro.sim.engine import SimulationParams, run_workload
 
 TINY = {"accesses": 120, "seed": 9}
@@ -104,7 +111,7 @@ def daemon(isolated_cache, tmp_path):
             port=0,
             workers=2,
             max_queue=64,
-            grace=5.0,
+            supervisor=SupervisorPolicy(grace=5.0),
             checkpoint=tmp_path / "service_ckpt.json",
         )
     ).start()
@@ -368,7 +375,7 @@ class TestBackpressure:
                 port=0,
                 workers=1,
                 max_queue=0,  # no waiting room at all
-                grace=5.0,
+                supervisor=SupervisorPolicy(grace=5.0),
                 checkpoint=tmp_path / "bp_ckpt.json",
             )
         ).start()
@@ -413,7 +420,8 @@ class TestDrainAndResume:
         )
         first = DaemonHandle(
             ServiceConfig(
-                port=0, workers=1, grace=0.5, checkpoint=checkpoint
+                port=0, workers=1, supervisor=SupervisorPolicy(grace=0.5),
+                checkpoint=checkpoint,
             )
         ).start()
         submitted = first.client.submit(jobs=jobs, client="drainee")
@@ -432,7 +440,8 @@ class TestDrainAndResume:
         # a fresh daemon resumes the checkpointed campaign by itself
         second = DaemonHandle(
             ServiceConfig(
-                port=0, workers=2, grace=5.0, checkpoint=checkpoint
+                port=0, workers=2, supervisor=SupervisorPolicy(grace=5.0),
+                checkpoint=checkpoint,
             )
         ).start()
         try:
@@ -477,6 +486,225 @@ class TestDrainAndResume:
             second.drain()
         # a cleanly finished daemon leaves no checkpoint to resume
         assert not checkpoint.exists()
+
+
+class TestSupervisedDaemon:
+    """The daemon runs its jobs through the CLI's supervisor: one crash is
+    one incident charged to its culprit, poison jobs are quarantined,
+    deadlines hold, and a drain leaves no worker behind."""
+
+    JOBS = _specs(
+        ("mcf", "base"), ("sphinx", "base"), ("lbm", "base"), ("pr_twi", "base"),
+    )
+
+    @staticmethod
+    def _handle(tmp_path, **policy) -> DaemonHandle:
+        return DaemonHandle(
+            ServiceConfig(
+                port=0, workers=2,
+                supervisor=SupervisorPolicy(**{"grace": 5.0, **policy}),
+                checkpoint=tmp_path / "supervised_ckpt.json",
+            )
+        ).start()
+
+    @staticmethod
+    def _finished(handle, campaign_id, timeout=30.0) -> dict:
+        """The campaign's document once it stops running (or on timeout)."""
+        deadline = time.monotonic() + timeout
+        while True:
+            doc = handle.client.campaign(campaign_id)
+            if doc["status"] != "running" or time.monotonic() > deadline:
+                return doc
+            time.sleep(0.1)
+
+    def test_rebuild_budget_resets_when_jobs_make_progress(
+        self, isolated_cache, tmp_path
+    ):
+        # Each campaign's job crashes once.  The budget allows one rebuild
+        # in a row; a job finishing in between starts the count over, so
+        # a daemon that makes progress never fails its later campaigns.
+        def crash_each_workload_once(workload, config, params=None, **kwargs):
+            try:
+                (tmp_path / f"crashed-{workload}").touch(exist_ok=False)
+            except FileExistsError:
+                return run_workload(workload, config, params, **kwargs)
+            os._exit(86)
+
+        set_run_executor(crash_each_workload_once)
+        handle = self._handle(tmp_path, max_pool_rebuilds=1)
+        try:
+            docs = [
+                handle.client.run_campaign(jobs=_specs((wl, "base")), client=wl)
+                for wl in ("mcf", "sphinx")
+            ]
+            counters = handle.counters()
+        finally:
+            handle.drain()
+        assert [doc["final"]["status"] for doc in docs] == [
+            "completed", "completed",
+        ]
+        assert counters["service.supervisor.pool_rebuilds"] == 2
+        assert counters["service.jobs.retried"] == 2
+
+    def test_submit_that_cannot_fork_is_retried(
+        self, isolated_cache, tmp_path, monkeypatch
+    ):
+        real_submit = ProcessPoolExecutor.submit
+        refused = []
+
+        def submit_refused_once(pool, *args, **kwargs):
+            if not refused:
+                refused.append(True)
+                raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+            return real_submit(pool, *args, **kwargs)
+
+        monkeypatch.setattr(ProcessPoolExecutor, "submit", submit_refused_once)
+        handle = self._handle(tmp_path)
+        try:
+            campaign_id = str(
+                handle.client.submit(jobs=self.JOBS[:2], client="fork")["id"]
+            )
+            doc = self._finished(handle, campaign_id)
+            counters = handle.counters()
+        finally:
+            handle.drain()
+        assert refused
+        assert doc["status"] == "completed"
+        assert counters["service.supervisor.pool_rebuilds"] == 1
+        assert counters.get("service.jobs.retried", 0) == 0  # never started
+
+    def test_failed_supervisor_drains_and_checkpoints(
+        self, isolated_cache, tmp_path, monkeypatch, capsys
+    ):
+        def broken_step(self):
+            raise RuntimeError("supervisor bug")
+
+        monkeypatch.setattr(Supervisor, "_step", broken_step)
+        before = {child.pid for child in multiprocessing.active_children()}
+        handle = self._handle(tmp_path)
+        try:
+            campaign_id = str(
+                handle.client.submit(jobs=self.JOBS[:1], client="doomed")["id"]
+            )
+            handle._thread.join(30.0)  # the daemon drains on its own
+            assert not handle._thread.is_alive()
+        finally:
+            handle.drain()
+        assert handle.service.failure == "RuntimeError: supervisor bug"
+        assert "RuntimeError: supervisor bug" in capsys.readouterr().err
+        assert [
+            spec["id"]
+            for spec in load_checkpoint(tmp_path / "supervised_ckpt.json")
+        ] == [campaign_id]
+        assert [
+            child for child in multiprocessing.active_children()
+            if child.pid not in before
+        ] == []
+
+    def test_one_crash_is_one_rebuild_charged_to_the_culprit(
+        self, isolated_cache, tmp_path
+    ):
+        flag = tmp_path / "crashed-once"
+
+        def crash_mcf_once(workload, config, params=None, **kwargs):
+            time.sleep(0.3)  # keep both workers busy when mcf dies
+            if workload == "mcf":
+                try:
+                    flag.touch(exist_ok=False)
+                except FileExistsError:
+                    pass
+                else:
+                    os._exit(86)
+            return run_workload(workload, config, params, **kwargs)
+
+        set_run_executor(crash_mcf_once)
+        handle = self._handle(tmp_path)
+        try:
+            doc = handle.client.run_campaign(jobs=self.JOBS, client="crashy")
+            counters = handle.counters()
+        finally:
+            handle.drain()
+        assert doc["final"]["status"] == "completed"
+        assert all(v is not None for v in doc["results"].values())
+        assert counters["service.supervisor.pool_rebuilds"] == 1
+        assert counters["service.jobs.retried"] == 1  # mcf's second attempt
+
+    def test_persistent_crasher_is_quarantined_and_the_rest_complete(
+        self, isolated_cache, tmp_path
+    ):
+        def crash_mcf(workload, config, params=None, **kwargs):
+            if workload == "mcf":
+                os._exit(86)
+            return run_workload(workload, config, params, **kwargs)
+
+        set_run_executor(crash_mcf)
+        handle = self._handle(tmp_path)
+        try:
+            doc = handle.client.run_campaign(jobs=self.JOBS, client="poison")
+            counters = handle.counters()
+        finally:
+            handle.drain()
+        assert doc["final"]["status"] == "failed"
+        assert doc["final"]["failed"] == 1
+        (error,) = doc["errors"].values()
+        assert "quarantined after 3" in error
+        assert "exit code 86" in error
+        assert sum(v is not None for v in doc["results"].values()) == 3
+        assert counters["service.supervisor.quarantined"] == 1
+
+    def test_deadline_watchdog_bounds_a_hung_job(self, isolated_cache, tmp_path):
+        def hang_mcf(workload, config, params=None, **kwargs):
+            if workload == "mcf":
+                time.sleep(60.0)
+            return run_workload(workload, config, params, **kwargs)
+
+        set_run_executor(hang_mcf)
+        handle = self._handle(tmp_path, deadline=1.0, max_attempts=2)
+        try:
+            started = time.monotonic()
+            doc = handle.client.run_campaign(jobs=self.JOBS, client="hung")
+            elapsed = time.monotonic() - started
+            counters = handle.counters()
+        finally:
+            handle.drain()
+        assert elapsed < 30.0
+        (error,) = doc["errors"].values()
+        assert "deadline" in error
+        assert counters["service.supervisor.watchdog_kills"] == 2
+        assert sum(v is not None for v in doc["results"].values()) == 3
+
+    def test_drain_terminates_workers_after_the_grace_window(
+        self, isolated_cache, tmp_path
+    ):
+        def sleep_forever(workload, config, params=None, **kwargs):
+            time.sleep(60.0)
+            return run_workload(workload, config, params, **kwargs)
+
+        before = {child.pid for child in multiprocessing.active_children()}
+        set_run_executor(sleep_forever)
+        checkpoint = tmp_path / "supervised_ckpt.json"
+        # `cli serve` traps SIGTERM in its event loop; forked workers
+        # inherit such a handler, and must still die when terminated
+        previous = signal.signal(signal.SIGTERM, lambda *_: None)
+        try:
+            handle = self._handle(tmp_path, grace=0.5)
+            campaign_id = str(
+                handle.client.submit(jobs=self.JOBS[:1], client="sleepy")["id"]
+            )
+            time.sleep(1.0)  # the job is running in its worker
+            started = time.monotonic()
+            handle.drain()
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+        assert time.monotonic() - started < 5.0
+        leftover = [
+            child for child in multiprocessing.active_children()
+            if child.pid not in before
+        ]
+        assert leftover == []
+        assert [spec["id"] for spec in load_checkpoint(checkpoint)] == [
+            campaign_id
+        ]
 
 
 class TestRepetitionSpecs:

@@ -6,15 +6,22 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import os
 import signal
+import sys
+import threading
+import time
 
 import pytest
 
+import repro.exec.supervisor as supervisor_mod
 import repro.harness.runner as runner_mod
+from repro import obs
 from repro.chaos import ChaosPolicy
 from repro.chaos import controller
 from repro.exec import (
     ShutdownFlag,
+    Supervisor,
     SupervisorPolicy,
     graceful_signals,
     last_report,
@@ -24,8 +31,25 @@ from repro.exec import (
 )
 from repro.harness.runner import resolve_config, set_run_executor
 from repro.sim.engine import SimulationParams, run_workload
+from repro.sim.metrics import SimResult
 
 TINY = SimulationParams(accesses_per_core=120, seed=9)
+
+
+def _sleepy_executor(workload, config, params=None, **kwargs):
+    """A simulation that takes far longer than any deadline below."""
+    time.sleep(10.0)
+    return run_workload(workload, config, params, **kwargs)
+
+
+def _instant_executor(workload, config, params=None, **kwargs):
+    """A valid result at once: the pool's bookkeeping, not simulation."""
+    return SimResult(
+        workload=workload, config_name=config.name, cycles=1.0,
+        instructions=1, per_core_ipc=[1.0], l3_hit_rate=0.5,
+        l4_hit_rate=0.5, l4_accesses=0, l4_bytes=0, mem_accesses=0,
+        mem_bytes=0, energy_nj=1.0, effective_capacity=1.0,
+    )
 
 
 @pytest.fixture
@@ -163,6 +187,54 @@ class TestWatchdog:
         assert last_report().watchdog_kills == 0
         assert all(o.ok for o in outcomes)
 
+    def test_requeued_job_is_timed_from_its_new_start(
+        self, isolated_cache, tmp_path
+    ):
+        # mcf's worker crashes 1 s in, so sphinx (running beside it) is
+        # requeued uncharged; it waits behind two 1.5 s jobs and starts
+        # again ~2.5 s after its first start.  Its 2 s deadline clock must
+        # restart then, not run on from the first start.
+        flag = tmp_path / "crashed-once"
+
+        def executor(workload, config, params=None, **kwargs):
+            if workload == "mcf":
+                try:
+                    flag.touch(exist_ok=False)
+                except FileExistsError:
+                    pass
+                else:
+                    time.sleep(1.0)
+                    os._exit(86)
+            time.sleep(1.5)
+            return _instant_executor(workload, config, params)
+
+        set_run_executor(executor)
+        jobs = [
+            make_job(wl, "base", params=TINY)
+            for wl in ("sphinx", "mcf", "lbm", "omnetpp")
+        ]
+        outcomes = run_jobs(
+            jobs, max_workers=2, supervisor=SupervisorPolicy(deadline=2.0)
+        )
+        assert [o.ok for o in outcomes] == [True] * len(jobs)
+        assert last_report().watchdog_kills == 0
+        assert outcomes[0].attempts == 1  # collateral, never charged
+
+    def test_single_pending_job_meets_its_deadline(self, isolated_cache):
+        # one pending job (or --jobs 1) runs on a one-worker pool, so the
+        # watchdog bounds it exactly as it bounds a job among many
+        set_run_executor(_sleepy_executor)
+        started = time.monotonic()
+        outcomes = run_jobs(
+            _jobs(1),
+            max_workers=1,
+            supervisor=SupervisorPolicy(deadline=1.0, max_attempts=1),
+        )
+        assert time.monotonic() - started < 8.0
+        assert outcomes[0].source == "quarantined"
+        assert "deadline" in outcomes[0].error
+        assert last_report().watchdog_kills == 1
+
 
 class TestCorruptResults:
     @pytest.mark.parametrize("workers", [1, 2])
@@ -256,3 +328,202 @@ class TestOutcomeBookkeeping:
         report = last_report()
         assert len(report.quarantined) == 2
         assert report.chaos_injected.get("crash", 0) >= 2
+
+
+class TestFeed:
+    """The long-lived supervisor: jobs fed while it runs, from any thread."""
+
+    def test_job_fed_while_idle_starts_at_once(self, isolated_cache):
+        set_run_executor(_instant_executor)
+        # a tick far longer than the job: only the doorbell can explain
+        # a prompt outcome
+        supervisor = Supervisor(
+            1, registry=obs.MetricsRegistry(),
+            policy=SupervisorPolicy(tick=30.0),
+        )
+        done = threading.Event()
+        latency = {}
+
+        def record(fed_at, *_outcome):
+            latency["s"] = time.monotonic() - fed_at
+            done.set()
+
+        thread = threading.Thread(target=supervisor.run, args=(record,))
+        thread.start()
+        try:
+            time.sleep(0.2)  # let run() go idle in its wait
+            supervisor.submit(time.monotonic(), _jobs(1)[0])
+            assert done.wait(10.0)
+            assert latency["s"] < 5.0
+        finally:
+            supervisor.close()
+            thread.join(35.0)
+        assert not thread.is_alive()
+
+    def test_idle_supervisor_sleeps_until_fed_or_closed(
+        self, isolated_cache, monkeypatch
+    ):
+        # the daemon's supervisor outlives its jobs: between them its
+        # thread must not wake, however short the tick
+        waits = []
+        real_wait = supervisor_mod.wait
+
+        def counting_wait(*args, **kwargs):
+            waits.append(kwargs.get("timeout"))
+            return real_wait(*args, **kwargs)
+
+        monkeypatch.setattr(supervisor_mod, "wait", counting_wait)
+        supervisor = Supervisor(
+            1, registry=obs.MetricsRegistry(),
+            policy=SupervisorPolicy(tick=0.01),
+        )
+        thread = threading.Thread(
+            target=supervisor.run, args=(lambda *_outcome: None,)
+        )
+        thread.start()
+        try:
+            time.sleep(0.5)
+            assert waits == [None]
+        finally:
+            supervisor.close()
+            thread.join(10.0)
+        assert not thread.is_alive()
+
+    def test_concurrent_feeders_get_every_outcome_once(self, isolated_cache):
+        set_run_executor(_instant_executor)
+        jobs = [
+            make_job("sphinx", "base", params=dataclasses.replace(TINY, seed=i))
+            for i in range(120)
+        ]
+        seen = []
+        lock = threading.Lock()
+
+        def record(key, result, error, source, attempts):
+            with lock:
+                seen.append((key, source))
+
+        # more workers than this machine's cores, feeders racing run()
+        supervisor = Supervisor(3, registry=obs.MetricsRegistry())
+        runner = threading.Thread(target=supervisor.run, args=(record,))
+        feeders = [
+            threading.Thread(
+                target=lambda part=part: [
+                    supervisor.submit(i, jobs[i]) for i in part
+                ]
+            )
+            for part in (range(k, len(jobs), 4) for k in range(4))
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runner.start()
+            for feeder in feeders:
+                feeder.start()
+            for feeder in feeders:
+                feeder.join(30.0)
+            supervisor.close()
+            runner.join(120.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not runner.is_alive()
+        assert sorted(key for key, _ in seen) == list(range(len(jobs)))
+        assert {source for _, source in seen} == {"run"}
+
+
+def _crash_once_per_job(flags):
+    """A stand-in executor whose worker dies on each job's first run."""
+
+    def executor(workload, config, params=None, **kwargs):
+        try:
+            (flags / f"crashed-{workload}-{config.name}").touch(exist_ok=False)
+        except FileExistsError:
+            return _instant_executor(workload, config, params)
+        os._exit(86)
+
+    return executor
+
+
+class TestRebuildBudget:
+    """``max_pool_rebuilds`` bounds rebuilds in a row, not a lifetime."""
+
+    def test_finished_jobs_start_the_count_over(self, isolated_cache, tmp_path):
+        # the × base jobs crash once; a crashed job is requeued behind the
+        # rest, so on one worker a sound × dice job finishes between the
+        # two crashes
+        set_run_executor(_crash_once_per_job(tmp_path))
+        for workload in ("sphinx", "mcf"):
+            (tmp_path / f"crashed-{workload}-dice").touch()
+        outcomes = run_jobs(
+            _jobs(4), max_workers=1,
+            supervisor=SupervisorPolicy(max_pool_rebuilds=1),
+        )
+        assert [o.ok for o in outcomes] == [True] * 4
+        assert [o.attempts for o in outcomes] == [2, 1, 2, 1]
+        assert last_report().pool_rebuilds == 2
+
+    def test_spent_budget_fails_the_queue_then_starts_over(
+        self, isolated_cache, tmp_path
+    ):
+        set_run_executor(_crash_once_per_job(tmp_path))
+        (tmp_path / "crashed-sphinx-dice").touch()  # the second job is sound
+        supervisor = Supervisor(
+            1, registry=obs.MetricsRegistry(),
+            policy=SupervisorPolicy(max_pool_rebuilds=0),
+        )
+        outcomes = {}
+        arrived = threading.Semaphore(0)
+
+        def record(key, result, error, source, attempts):
+            outcomes[key] = (source, error)
+            arrived.release()
+
+        thread = threading.Thread(target=supervisor.run, args=(record,))
+        thread.start()
+        try:
+            first, second = _jobs(2)  # sphinx × base, sphinx × dice
+            supervisor.submit("first", first)
+            assert arrived.acquire(timeout=30.0)
+            # a later job (as a daemon gets) runs on a fresh budget
+            supervisor.submit("second", second)
+            assert arrived.acquire(timeout=30.0)
+        finally:
+            supervisor.close()
+            thread.join(30.0)
+        assert not thread.is_alive()
+        source, error = outcomes["first"]
+        assert source == "failed"
+        assert "rebuild budget (0) exhausted" in error
+        assert "exit code 86" in error
+        assert outcomes["second"] == ("run", None)
+
+    def test_events_share_the_callers_clock(self, isolated_cache, tmp_path):
+        tracer = obs.Tracer(tmp_path / "t.jsonl")
+        flag = ShutdownFlag()
+        flag.trip(signal.SIGTERM)
+        supervisor = Supervisor(
+            1, registry=obs.MetricsRegistry(), tracer=tracer,
+            shutdown=flag, now_us=lambda: 4242,
+        )
+        supervisor.submit(0, _jobs(1)[0])
+        supervisor.close()
+        supervisor.run(lambda *_outcome: None)
+        assert [(e["name"], e["ts"]) for e in tracer.events] == [
+            ("supervisor.interrupted", 4242)
+        ]
+
+
+class TestOneWorkerPool:
+    def test_runs_are_named_like_an_in_process_campaign(
+        self, isolated_cache, tmp_path
+    ):
+        # `--jobs 1 --trace t.jsonl` has always written t.jsonl,
+        # t.2.jsonl, ...; its one worker must not tag them with its PID
+        obs.reset_configuration()
+        obs.configure(trace=str(tmp_path / "t.jsonl"))
+        try:
+            run_jobs(_jobs(2), max_workers=1)
+        finally:
+            obs.reset_configuration()
+        assert sorted(p.name for p in tmp_path.glob("t*.jsonl")) == [
+            "t.2.jsonl", "t.exec.jsonl", "t.jsonl",
+        ]
