@@ -85,7 +85,7 @@ clean:
 	rm -f .sim_cache.json .sim_cache.json.migrated .sim_cache.corrupt.json
 	rm -rf .sim_cache.d .sim_cache.cas
 	rm -f .service_checkpoint.json
-	rm -f .campaign_checkpoint.json BENCH_parallel.json
+	rm -f BENCH_parallel.json
 	rm -f .campaign_flight.json BENCH_core.ci.json FLIGHT_report.md FLIGHT_report.html
 	rm -f run_table.csv FLIGHT_runtable.md
 	rm -f *.prof.json *.collapsed.txt

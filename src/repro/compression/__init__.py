@@ -8,9 +8,7 @@ pair-compressed, sharing BDI bases and a tag (Sec 4.3 / Sec 6.2).
 
 from repro.compression.base import CompressedLine, Compressor
 from repro.compression.bdi import BDICompressor
-from repro.compression.cpack import CPackCompressor
 from repro.compression.fpc import FPCCompressor
-from repro.compression.fvc import FVCCompressor
 from repro.compression.hybrid import HybridCompressor
 from repro.compression.pair import pair_compressed_size
 from repro.compression.zca import ZCACompressor
@@ -19,9 +17,7 @@ __all__ = [
     "CompressedLine",
     "Compressor",
     "BDICompressor",
-    "CPackCompressor",
     "FPCCompressor",
-    "FVCCompressor",
     "HybridCompressor",
     "ZCACompressor",
     "pair_compressed_size",

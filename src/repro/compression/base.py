@@ -107,11 +107,6 @@ class CodecMemo:
             self.evictions += 1
         lines[data] = line
 
-    def clear(self) -> None:
-        """Drop entries (stats survive); used when codec state changes."""
-        self._sizes.clear()
-        self._lines.clear()
-
     def stats(self) -> Dict[str, int]:
         return {
             "hits": self.hits,

@@ -9,7 +9,6 @@ from repro.dram.bank import Bank
 from repro.dram.channel import Channel
 from repro.dram.device import AccessResult, DRAMDevice
 from repro.dram.mainmemory import MainMemory
-from repro.dram.scheduler import FRFCFSChannel, Request, SchedulerStats
 
 __all__ = [
     "Bank",
@@ -17,7 +16,4 @@ __all__ = [
     "AccessResult",
     "DRAMDevice",
     "MainMemory",
-    "FRFCFSChannel",
-    "Request",
-    "SchedulerStats",
 ]

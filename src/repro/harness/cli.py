@@ -20,9 +20,10 @@ Usage::
     python -m repro.harness.cli cache-info
 
 Results are cached on disk, so regenerating a second figure that shares
-configurations with the first is nearly instant.  ``all`` checkpoints its
-progress: a killed campaign resumes from the last completed experiment
-(pass ``--no-resume`` to start over).
+configurations with the first is nearly instant.  The cache is also how
+``all`` resumes: a killed campaign re-runs only the simulations that had
+not finished, then renders every table again from the cache, so its
+output is the same as an uninterrupted run's.
 
 Every simulation runs on one supervised worker pool: ``--jobs N``
 (default: the ``REPRO_JOBS`` environment variable, else the machine's CPU
@@ -55,9 +56,9 @@ simulation failed or was quarantined (remaining jobs are still drained
 and cached, so a re-run only repeats the failures), 4 the fidelity
 scoreboard drifted out of its tolerance band (``report --flight
 --check``), 5 the campaign was interrupted (SIGTERM/SIGINT) and stopped
-gracefully at a resumable checkpoint, 6 an SLO check failed (``slo
-check``).  ``cli serve`` exits 1 when its supervisor thread failed (it
-drains and checkpoints first).
+gracefully (finished simulations are cached, so a re-run resumes), 6 an
+SLO check failed (``slo check``).  ``cli serve`` exits 1 when its
+supervisor thread failed (it drains and checkpoints first).
 """
 
 from __future__ import annotations
@@ -128,8 +129,8 @@ def _prefetch(
         print(f"run table: {n_rows} row(s) -> {run_table}", file=sys.stderr)
     if shutdown is not None and shutdown.requested:
         print(
-            "interrupted: campaign checkpointed; completed simulations are "
-            "cached, re-run to resume",
+            "interrupted: completed simulations are cached; re-run to "
+            "resume",
             file=sys.stderr,
         )
         return EXIT_INTERRUPTED
@@ -1369,11 +1370,6 @@ def main(argv=None) -> int:
         "(default: REPRO_JOBS or the CPU count)",
     )
     parser.add_argument(
-        "--no-resume",
-        action="store_true",
-        help="ignore a previous `all` campaign checkpoint and start over",
-    )
-    parser.add_argument(
         "--experiments",
         default=None,
         metavar="KEYS",
@@ -1500,22 +1496,8 @@ def main(argv=None) -> int:
             )
             if status != EXIT_OK:
                 return status
-            # A campaign context ties the checkpoint to these parameters,
-            # so a resume never skips work done at different settings.
-            context = (
-                f"accesses={params.accesses_per_core} seed={params.seed} "
-                f"fault_rate={params.fault_rate} ecc={params.ecc}"
-                + (f" experiments={','.join(keys)}" if args.experiments else "")
-                + (
-                    f" repetitions={args.repetitions}"
-                    if args.repetitions > 1
-                    else ""
-                )
-            )
             campaign = Campaign(
                 [(key, lambda k=key: run_one(k, params)) for key in keys],
-                context=context,
-                resume=not args.no_resume,
                 repetitions=(
                     {key: args.repetitions for key in keys}
                     if args.repetitions > 1
@@ -1525,18 +1507,12 @@ def main(argv=None) -> int:
             campaign.run(should_stop=lambda: shutdown.requested)
             if campaign.interrupted:
                 print(
-                    f"interrupted: campaign checkpointed after "
+                    f"interrupted: campaign stopped after "
                     f"{len(campaign.completed)} of {len(campaign.steps)} "
                     f"experiments; re-run to resume",
                     file=sys.stderr,
                 )
                 return EXIT_INTERRUPTED
-            if campaign.skipped:
-                print(
-                    f"(resumed: skipped {len(campaign.skipped)} "
-                    f"already-completed experiment(s): "
-                    f"{', '.join(campaign.skipped)})"
-                )
             # per-step timings feed `report --flight`'s campaign section
             campaign.write_flight_data()
         return EXIT_OK

@@ -144,9 +144,9 @@ _memory_cache: Dict[Tuple, SimResult] = {}
 _disk_loaded = False
 _disk_store: Dict[str, dict] = {}
 
-# The executor actually invoked for uncached simulations.  The campaign
-# layer (repro.harness.campaign) swaps in a timeout/retry wrapper; tests
-# inject flaky stand-ins.  Signature matches `run_workload`.
+# The executor actually invoked for uncached simulations: `run_workload`,
+# unless a test injects a stand-in (a flaky or counting executor) through
+# `set_run_executor`.  Signature matches `run_workload`.
 _run_executor: Callable[..., SimResult] = run_workload
 
 
@@ -154,6 +154,9 @@ def set_run_executor(executor: Optional[Callable[..., SimResult]]) -> None:
     """Install the callable used for uncached runs (None restores default)."""
     global _run_executor
     _run_executor = executor if executor is not None else run_workload
+
+
+_DEFAULT_SAMPLE_EVERY = SimulationParams().capacity_sample_every
 
 
 def _key(workload: str, config_name: str, scale: int, params: SimulationParams) -> Tuple:
@@ -170,6 +173,10 @@ def _key(workload: str, config_name: str, scale: int, params: SimulationParams) 
     # distinct entries per (rate, ecc) point.
     if params.fault_rate:
         key += [params.fault_rate, params.ecc]
+    # Likewise the capacity sampling interval (it changes
+    # effective_capacity): keyed only when it is not the default.
+    if params.capacity_sample_every != _DEFAULT_SAMPLE_EVERY:
+        key += ["capacity_sample_every", params.capacity_sample_every]
     return tuple(key)
 
 

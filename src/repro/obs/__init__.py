@@ -6,7 +6,7 @@ Three pillars (see DESIGN.md Sec 10):
   (``--trace PATH`` / ``REPRO_TRACE``) emitting JSONL plus Chrome
   ``trace_event`` spans, sampled by ``--trace-every N`` / ``REPRO_TRACE_EVERY``;
 * :mod:`repro.obs.registry` — the unified metrics registry every layer
-  (memory system, L4 designs, predictors, DRAM scheduler, exec scheduler)
+  (memory system, L4 designs, predictors, exec scheduler)
   registers into, exported per run as ``metrics.json``;
 * :mod:`repro.obs.manifest` — run-provenance manifests stamped onto every
   :class:`~repro.sim.metrics.SimResult` and cache shard.
@@ -39,6 +39,7 @@ from repro.obs.prof import (
     NULL_PROFILER,
     NullProfiler,
     Profiler,
+    instrument_iterator,
     instrument_method,
     read_profile,
     top_frames,
@@ -92,6 +93,7 @@ __all__ = [
     "format_manifest",
     "format_summary",
     "git_sha",
+    "instrument_iterator",
     "instrument_method",
     "metric_key",
     "metrics_settings",

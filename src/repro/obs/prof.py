@@ -9,19 +9,20 @@ clock and accumulates; ``tests/test_prof.py`` asserts the identity).
 
 Design constraints, mirroring the tracer (DESIGN.md Sec 10/11):
 
-1. **Zero cost when disabled.**  Every hot-path call site guards with
-   ``if prof.enabled:`` before touching the profiler, and the disabled
-   profiler is the shared :data:`NULL_PROFILER` singleton.  The same
-   counter-based guard test that protects the tracer counts NullProfiler
-   method calls during an unprofiled simulation and requires exactly
-   zero.  Component-method instrumentation (:func:`instrument_method`) is
-   applied only when profiling is enabled, so disabled runs execute the
-   original unwrapped bound methods.
-2. **Stack-shaped attribution.**  Frames nest (``sim`` → ``l4.install``
-   → ``codec.compress``), so the output distinguishes codec time spent
-   on installs from codec time spent on probes.  Each node records call
-   count, inclusive and self wall time, and the simulated cycles the
-   call site attributed to it.
+1. **Zero cost when disabled.**  Frames are opened by wrappers that are
+   installed once, at setup, and only when profiling is enabled:
+   :func:`instrument_method` wraps one instance's bound method and
+   :func:`instrument_iterator` one iterator, so disabled runs execute
+   the original unwrapped methods and no hot path tests a flag.  The
+   disabled profiler is the shared :data:`NULL_PROFILER` singleton, and
+   the same counter-based guard test that protects the tracer counts
+   NullProfiler method calls during an unprofiled simulation and
+   requires exactly zero.
+2. **Stack-shaped attribution.**  Frames nest (``sim`` →
+   ``system.access`` → ``l4.install`` → ``codec.compressed_size``), so
+   the output distinguishes codec time spent on installs from codec time
+   spent on probes.  Each node records call count, inclusive and self
+   wall time, and the simulated cycles the call site attributed to it.
 3. **Two outputs from one run.**  ``close()`` writes ``*.prof.json``
    (machine-readable, sorted by self wall time) and a collapsed-stack
    text file (``stack;frames <self-µs>`` per line) that standard
@@ -35,7 +36,7 @@ import functools
 import json
 import time
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 
 class NullProfiler:
@@ -171,13 +172,22 @@ class Profiler:
 # component-method instrumentation
 
 
-def instrument_method(obj, method_name: str, frame: str, prof) -> bool:
+def instrument_method(
+    obj,
+    method_name: str,
+    frame: str,
+    prof,
+    cycles: Optional[Callable[[tuple, Any], int]] = None,
+) -> bool:
     """Wrap one *instance's* bound method in a profiler frame.
 
     Installed only when profiling is enabled (the memory system calls
     this during construction), so unprofiled runs keep the original,
     unwrapped methods and pay nothing.  The wrapper forwards arguments
     and the return value untouched — results stay bit-identical.
+    ``cycles(args, result)``, when given, is the simulated-cycle cost
+    the frame is charged (clamped at 0), computed from the positional
+    arguments and the return value.
 
     Returns False (and installs nothing) when the object has no such
     method, so callers can instrument optional components blindly.
@@ -189,13 +199,30 @@ def instrument_method(obj, method_name: str, frame: str, prof) -> bool:
     @functools.wraps(original)
     def wrapped(*args, **kwargs):
         prof.enter(frame)
+        spent = 0
         try:
-            return original(*args, **kwargs)
+            result = original(*args, **kwargs)
+            if cycles is not None:
+                spent = max(0, int(cycles(args, result)))
+            return result
         finally:
-            prof.exit()
+            prof.exit(spent)
 
     setattr(obj, method_name, wrapped)
     return True
+
+
+def instrument_iterator(iterator: Iterator, frame: str, prof) -> Iterator:
+    """``iterator``'s items, each ``next`` timed as one profiler frame."""
+    while True:
+        prof.enter(frame)
+        try:
+            item = next(iterator)
+        except StopIteration:
+            return
+        finally:
+            prof.exit()
+        yield item
 
 
 def top_frames(prof_payload: Dict[str, object], n: int = 10) -> List[Dict[str, object]]:

@@ -8,9 +8,9 @@ simulation run (created by the engine, threaded through
 * *push*: hold a registry-owned :class:`Counter`/histogram and update it
   on the hot path (the memory system's demand counters work this way), or
 * *pull*: register a **collector** — a callable invoked at export time
-  that publishes component-internal counters (the L4 designs, MAP-I, CIP,
-  and the FR-FCFS scheduler keep their fast plain-int counters and
-  publish through collectors).
+  that publishes component-internal counters (the L4 designs, MAP-I and
+  CIP keep their fast plain-int counters and publish through
+  collectors).
 
 ``to_dict()`` is the ``metrics.json`` payload: every instrument grouped
 by kind, with label-qualified names (``name{k=v}``) as keys.

@@ -133,19 +133,21 @@ def run_workload(
     times = [0.0] * num_cores
     insts = [0] * num_cores
     served = [0] * num_cores
+    # Chunked synthesis: each core refills a preallocated buffer of trace
+    # records in batches, replacing a generator resume per access with a
+    # list index.  The access sequence is identical (chunks() drains the
+    # same iterator), so results are too.
+    chunk = TraceGenerator.DEFAULT_CHUNK
+    chunk_iters = [g.chunks(chunk) for g in generators]
     if prof.enabled:
-        # The profiled loop attributes generator time per access, so it
-        # keeps the one-at-a-time iterator protocol.
-        iters = [iter(g) for g in generators]
-    else:
-        # Chunked synthesis: each core refills a preallocated buffer of
-        # trace records in batches, replacing a generator resume per
-        # access with a list index.  The access sequence is identical
-        # (chunks() drains the same iterator), so results are too.
-        chunk = TraceGenerator.DEFAULT_CHUNK
-        chunk_iters = [g.chunks(chunk) for g in generators]
-        bufs = [next(ci) for ci in chunk_iters]
-        idxs = [0] * num_cores
+        # one workload.gen frame per chunk refill; the memory system has
+        # wrapped its own handle_access in system.access frames
+        chunk_iters = [
+            obs.instrument_iterator(ci, "workload.gen", prof)
+            for ci in chunk_iters
+        ]
+    bufs = [next(ci) for ci in chunk_iters]
+    idxs = [0] * num_cores
     heap = [(0.0, core) for core in range(num_cores)]
     heapq.heapify(heap)
 
@@ -166,25 +168,14 @@ def run_workload(
 
     while heap:
         now, core = heapq.heappop(heap)
-        if prof.enabled:
-            # Duplicated branch keeps the unprofiled loop body untouched:
-            # no frame bookkeeping, no extra attribute loads per access.
-            prof.enter("workload.gen")
-            access = next(iters[core])
-            prof.exit()
-            t = times[core] + access.inst_gap / ipc
-            prof.enter("system.access")
-            finish = system.handle_access(access, int(t))
-            prof.exit(max(0, int(finish - t)))
-        else:
-            i = idxs[core]
-            if i >= chunk:
-                bufs[core] = next(chunk_iters[core])
-                i = 0
-            access = bufs[core][i]
-            idxs[core] = i + 1
-            t = times[core] + access.inst_gap / ipc
-            finish = system.handle_access(access, int(t))
+        i = idxs[core]
+        if i >= chunk:
+            bufs[core] = next(chunk_iters[core])
+            i = 0
+        access = bufs[core][i]
+        idxs[core] = i + 1
+        t = times[core] + access.inst_gap / ipc
+        finish = system.handle_access(access, int(t))
         stall = max(0.0, (finish - t) / mlp)
         times[core] = t + stall
         insts[core] += access.inst_gap

@@ -102,7 +102,26 @@ class MemorySystem:
             # unprofiled runs keep the original unwrapped bound methods.
             # The compressor instance is shared with the pair-size cache,
             # so one wrap covers both install- and probe-side codec calls.
+            # Frames that model simulated time are charged the cycles from
+            # their start argument to the finish cycle they return; L4
+            # prefetch probes share the l4.lookup frame with demand reads.
             prof = self.prof
+            instrument_method(
+                self, "handle_access", "system.access", prof,
+                cycles=lambda args, finish: finish - args[1],
+            )
+            instrument_method(
+                self.l4, "read", "l4.lookup", prof,
+                cycles=lambda args, res: res.finish_cycle - args[1],
+            )
+            instrument_method(
+                self.l4, "install", "l4.install", prof,
+                cycles=lambda args, res: res.finish_cycle - args[2],
+            )
+            instrument_method(
+                self.memory, "read", "dram.mainmemory", prof,
+                cycles=lambda args, res: res[1].finish_cycle - args[1],
+            )
             instrument_method(self.mapi, "predict_miss", "mapi.predict", prof)
             compressor = getattr(self.l4, "compressor", None)
             if compressor is not None:
@@ -188,13 +207,7 @@ class MemorySystem:
         t = now + self.config.l3.latency_cycles
         predicted_miss = self.mapi.predict_miss(access.pc)
 
-        prof = self.prof
-        if prof.enabled:
-            prof.enter("l4.lookup")
-            result = self.l4.read(line, t, access.pc)
-            prof.exit(max(0, int(result.finish_cycle - t)))
-        else:
-            result = self.l4.read(line, t, access.pc)
+        result = self.l4.read(line, t, access.pc)
         tracer = self.tracer
         if tracer.enabled:
             # Emitted before fault filtering so the event stream replays to
@@ -226,12 +239,7 @@ class MemorySystem:
         else:
             self.mapi.update(access.pc, was_miss=True)
             mem_arrival = t if predicted_miss else result.finish_cycle
-            if prof.enabled:
-                prof.enter("dram.mainmemory")
-                data, mem_res = self.memory.read(line, mem_arrival)
-                prof.exit(max(0, int(mem_res.finish_cycle - mem_arrival)))
-            else:
-                data, mem_res = self.memory.read(line, mem_arrival)
+            data, mem_res = self.memory.read(line, mem_arrival)
             self._install_l4(
                 line, data, mem_res.finish_cycle, after_demand_read=True
             )
@@ -330,25 +338,13 @@ class MemorySystem:
     def _install_l4(
         self, line_addr: int, data: bytes, now: int, *, after_demand_read: bool
     ) -> None:
-        prof = self.prof
-        if prof.enabled:
-            prof.enter("l4.install")
-            wres = self.l4.install(
-                line_addr,
-                data,
-                now,
-                dirty=not after_demand_read,
-                after_demand_read=after_demand_read,
-            )
-            prof.exit(max(0, int(wres.finish_cycle - now)))
-        else:
-            wres = self.l4.install(
-                line_addr,
-                data,
-                now,
-                dirty=not after_demand_read,
-                after_demand_read=after_demand_read,
-            )
+        wres = self.l4.install(
+            line_addr,
+            data,
+            now,
+            dirty=not after_demand_read,
+            after_demand_read=after_demand_read,
+        )
         for victim_addr, victim_data in wres.writebacks:
             self.memory.write(victim_addr, victim_data, wres.finish_cycle)
 
@@ -361,13 +357,7 @@ class MemorySystem:
         if target is None or self.hierarchy.l3.contains(target):
             return
         self._prefetch_issued.inc()
-        prof = self.prof
-        if prof.enabled:
-            prof.enter("l4.prefetch_probe")
-            result = self.l4.read(target, now, pc=0)
-            prof.exit(max(0, int(result.finish_cycle - now)))
-        else:
-            result = self.l4.read(target, now, pc=0)
+        result = self.l4.read(target, now, pc=0)
         if self.tracer.enabled:
             # prefetch probes hit the same L4 counters as demand reads, so
             # the replayable event stream must cover them too

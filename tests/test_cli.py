@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 import repro.harness.runner as runner_mod
@@ -105,6 +107,33 @@ def test_parallel_stdout_identical_to_serial(capsys):
     parallel = capsys.readouterr()
     assert parallel.out == serial_out  # tables byte-identical
     assert "jobs" in parallel.err  # progress went to stderr only
+
+
+def test_all_stdout_does_not_depend_on_earlier_runs(
+    tmp_path, monkeypatch, capsys
+):
+    """`all` renders every experiment on every run: a step checkpoint left
+    in the working directory (older versions wrote one) neither hides a
+    table nor adds a "resumed" line."""
+    monkeypatch.chdir(tmp_path)
+    argv = ["all", "--experiments", "fig13,fig15", "--accesses", "100",
+            "--jobs", "2"]
+    assert main(argv) == 0
+    fresh = capsys.readouterr().out
+    (tmp_path / ".campaign_checkpoint.json").write_text(json.dumps({
+        "version": 1,
+        "context": "accesses=100 seed=7 fault_rate=0.0 ecc=secded "
+                   "experiments=fig13,fig15",
+        "completed": ["fig13"],
+    }))
+    assert main(argv) == 0
+    assert capsys.readouterr().out == fresh
+
+
+def test_no_resume_is_a_usage_error():
+    with pytest.raises(SystemExit) as exc_info:
+        main(["all", "--no-resume"])
+    assert exc_info.value.code == 2
 
 
 def test_parallel_failure_names_job_drains_and_exits_3(capsys):

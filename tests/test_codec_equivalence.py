@@ -20,22 +20,17 @@ import pytest
 
 from repro.compression.base import CodecMemo, memo_capacity_from_env
 from repro.compression.bdi import BDICompressor
-from repro.compression.cpack import CPackCompressor
 from repro.compression.fpc import FPCCompressor
-from repro.compression.fvc import FVCCompressor
 from repro.compression.hybrid import HybridCompressor
 from repro.compression.zca import ZCACompressor
 from repro.config import LINE_SIZE
 
 
 def _make_codecs():
-    fvc = FVCCompressor(frequent_values=[0, 1, 0xDEADBEEF, 0x7FFF0000])
     return [
         ZCACompressor(),
         FPCCompressor(),
         BDICompressor(),
-        CPackCompressor(),
-        fvc,
         HybridCompressor(),
     ]
 
@@ -47,7 +42,7 @@ def _adversarial_lines():
         b"\xab" * LINE_SIZE,  # repeated byte
         bytes(LINE_SIZE - 8) + b"\xff" * 8,  # zero run ending in raw
         struct.pack("<16i", *([3, -3, 120, -120] * 4)),  # narrow values
-        struct.pack("<16I", *([0xDEADBEEF] * 16)),  # rep word / dict hits
+        struct.pack("<16I", *([0xDEADBEEF] * 16)),  # repeated word
         struct.pack("<8Q", *(0x7FFF000000000000 + i for i in range(8))),  # BDI b8d1
         struct.pack("<16I", *(0x12340000 + i * 7 for i in range(16))),  # BDI b4
         struct.pack("<16I", *([0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0])),
@@ -84,9 +79,7 @@ class TestKernelEquivalence:
 
     def test_memo_disabled_matches_memoized(self, codec):
         memoized = [codec.compressed_size(data) for data in LINES]
-        bare = type(codec)() if not isinstance(codec, FVCCompressor) else (
-            FVCCompressor(frequent_values=codec.table)
-        )
+        bare = type(codec)()
         bare._memo = CodecMemo(capacity=0)
         assert [bare.compressed_size(data) for data in LINES] == memoized
 
@@ -164,30 +157,3 @@ class TestCodecMemo:
         monkeypatch.setenv("REPRO_CODEC_MEMO", "lots")
         with pytest.raises(ValueError):
             memo_capacity_from_env(123)
-
-
-class TestFVCStatefulness:
-    """FVC's memoized sizes must not survive a table change."""
-
-    def test_retraining_invalidates_memo(self):
-        fvc = FVCCompressor(frequent_values=[0xCAFEBABE])
-        line = struct.pack("<16I", *([0xCAFEBABE] * 16))
-        hit_size = fvc.compressed_size(line)
-        fvc.table = ()  # table change: every word is now a miss
-        miss_size = fvc.compressed_size(line)
-        assert miss_size > hit_size
-        assert fvc.compressed_size(line) == fvc.compress(line).size
-
-    def test_trained_table_sizes_match_compress(self):
-        fvc = FVCCompressor()
-        rng = random.Random(7)
-        lines = [
-            struct.pack("<16I", *(rng.choice([0, 1, 0xABCD, rng.getrandbits(32)])
-                                  for _ in range(16)))
-            for _ in range(32)
-        ]
-        for line in lines:
-            fvc.train(line)
-        fvc.finalize_table()
-        for line in lines:
-            assert fvc.compressed_size(line) == fvc.compress(line).size

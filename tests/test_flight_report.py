@@ -173,10 +173,7 @@ class TestLoadCampaignFlight:
         assert load_campaign_flight(bad) is None
 
     def test_roundtrip_from_campaign(self, tmp_path):
-        campaign = Campaign(
-            [("fig10", lambda: None), ("fig13", lambda: None)],
-            checkpoint_path=tmp_path / "ckpt.json",
-        )
+        campaign = Campaign([("fig10", lambda: None), ("fig13", lambda: None)])
         campaign.timings = {"fig10": 1.25, "fig13": 0.75}
         out = campaign.write_flight_data(tmp_path / "flight.json")
         payload = load_campaign_flight(out)
@@ -187,34 +184,23 @@ class TestLoadCampaignFlight:
 
 
 class TestCampaignTimings:
-    def test_run_records_per_step_wall_time(self, tmp_path):
-        campaign = Campaign(
-            [("step_a", lambda: "a"), ("step_b", lambda: "b")],
-            checkpoint_path=tmp_path / "ckpt.json",
-        )
+    def test_run_records_per_step_wall_time(self):
+        campaign = Campaign([("step_a", lambda: "a"), ("step_b", lambda: "b")])
         campaign.run()
         assert set(campaign.timings) == {"step_a", "step_b"}
         assert all(t >= 0 for t in campaign.timings.values())
         payload = campaign.flight_payload()
         assert [s["name"] for s in payload["steps"]] == ["step_a", "step_b"]
-        assert payload["skipped"] == []
 
-    def test_skipped_steps_have_no_timing(self, tmp_path):
-        first = Campaign(
-            [("step_a", lambda: "a")],
-            checkpoint_path=tmp_path / "ckpt.json",
-            context="ctx",
-        )
-        # simulate a killed campaign: step_a checkpointed as complete
-        first._save_checkpoint(["step_a"])
-        second = Campaign(
-            [("step_a", lambda: "a"), ("step_b", lambda: "b")],
-            checkpoint_path=tmp_path / "ckpt.json",
-            context="ctx",
-        )
-        second.run()
-        assert "step_a" not in second.timings
-        assert second.flight_payload()["skipped"] == ["step_a"]
+    def test_skipped_steps_have_no_timing(self):
+        # a stop request after step_a skips step_b
+        campaign = Campaign([("step_a", lambda: "a"), ("step_b", lambda: "b")])
+        campaign.run(should_stop=lambda: "step_a" in campaign.timings)
+        assert campaign.interrupted
+        assert campaign.completed == ["step_a"]
+        assert "step_b" not in campaign.timings
+        payload = campaign.flight_payload()
+        assert [s["name"] for s in payload["steps"]] == ["step_a"]
 
 
 class TestRepetitionReporting:

@@ -11,6 +11,7 @@ from repro.obs import NULL_PROFILER, NullProfiler, Profiler
 from repro.obs.prof import instrument_method, read_profile, top_frames
 from repro.sim.engine import SimulationParams, run_workload
 from repro.sim.system import MemorySystem
+from repro.workloads.base import TraceGenerator
 
 
 @pytest.fixture(autouse=True)
@@ -155,6 +156,33 @@ class TestProfiledSimulation:
         frames = {f["stack"]: f for f in payload["frames"]}
         assert frames["sim"]["cycles"] > 0
         assert frames["sim;system.access"]["cycles"] > 0
+
+    def test_profiled_run_times_the_chunked_loop(
+        self, tiny_system, tmp_path, monkeypatch
+    ):
+        """The profile times the loop every experiment runs: a profiled
+        run draws its trace through TraceGenerator.chunks, one chunk
+        iterator per core, exactly like an unprofiled run."""
+        params = SimulationParams(accesses_per_core=300)
+        plain = run_workload("mcf", tiny_system, params)
+        calls = {"n": 0}
+        chunks = TraceGenerator.chunks
+
+        def counting(self, *args, **kwargs):
+            calls["n"] += 1
+            return chunks(self, *args, **kwargs)
+
+        monkeypatch.setattr(TraceGenerator, "chunks", counting)
+        obs.configure(profile=str(tmp_path / "run.prof.json"))
+        profiled = run_workload("mcf", tiny_system, params)
+        obs.reset_configuration()
+        assert calls["n"] == tiny_system.core.num_cores
+        assert profiled == plain
+        frames = {
+            f["stack"]: f
+            for f in read_profile(tmp_path / "run.prof.json")["frames"]
+        }
+        assert frames["sim;workload.gen"]["calls"] >= calls["n"]
 
     def test_multiple_profiled_runs_uniquify_paths(
         self, tiny_system, tmp_path
