@@ -52,18 +52,26 @@ class CodecMemo:
     :class:`CompressedLine`, fed by memoizing compressors like the
     hybrid).  Keys reference the caller's ``bytes`` objects, so the memo
     costs dict overhead, not data copies.
+
+    ``sizes`` may be a dict that outlives this memo (a worker's
+    :class:`~repro.sim.linestore.LineStore` hands every run's hybrid the
+    same one); the counters are always this memo's own.
     """
 
     __slots__ = ("capacity", "hits", "misses", "evictions", "_sizes", "_lines")
 
-    def __init__(self, capacity: int = DEFAULT_MEMO_CAPACITY) -> None:
+    def __init__(
+        self,
+        capacity: int = DEFAULT_MEMO_CAPACITY,
+        sizes: Optional[Dict[bytes, int]] = None,
+    ) -> None:
         if capacity < 0:
             raise ValueError("memo capacity must be >= 0")
         self.capacity = capacity
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        self._sizes: Dict[bytes, int] = {}
+        self._sizes: Dict[bytes, int] = {} if sizes is None else sizes
         self._lines: Dict[bytes, "CompressedLine"] = {}
 
     def __len__(self) -> int:

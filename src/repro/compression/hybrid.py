@@ -11,7 +11,8 @@ its :class:`~repro.compression.base.CodecMemo` — the simulator compresses
 the same line on install, writeback and probe paths and the cache keeps
 those calls cheap.  The size-only path (``compressed_size``) never builds
 payloads at all: it takes the minimum of the pool members' integer size
-kernels.
+kernels, called directly, since the hybrid's memo already sees every
+repeat before a member would.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro.compression.base import (
+    CodecMemo,
     CompressedLine,
     Compressor,
     check_line,
@@ -40,6 +42,7 @@ class HybridCompressor(Compressor):
         self,
         pool: Optional[Sequence[Compressor]] = None,
         cache_size: int = 1 << 16,
+        sizes: Optional[Dict[bytes, int]] = None,
     ) -> None:
         self.pool: Tuple[Compressor, ...] = tuple(
             pool if pool is not None else (ZCACompressor(), BDICompressor(), FPCCompressor())
@@ -48,6 +51,10 @@ class HybridCompressor(Compressor):
             raise ValueError("compressor pool must not be empty")
         self._by_name: Dict[str, Compressor] = {c.name: c for c in self.pool}
         self._cache_size = cache_size
+        if sizes is not None:
+            # a size memo shared with earlier runs: this instance still
+            # counts only its own lookups
+            self._memo = CodecMemo(self._memo_capacity(), sizes)
 
     def _memo_capacity(self) -> int:
         # REPRO_CODEC_MEMO wins; the legacy ``cache_size`` argument is the
@@ -79,20 +86,12 @@ class HybridCompressor(Compressor):
     def _size_kernel(self, data: bytes) -> int:
         best = _SIZE_SENTINEL
         for compressor in self.pool:
-            size = compressor.compressed_size(data)
+            size = compressor._size_kernel(data)
             if size < best:
                 best = size
                 if best <= 1:  # nothing encodes below one byte
                     break
         return best
-
-    def memo_stats(self) -> Dict[str, int]:
-        """Aggregate memo counters: this hybrid plus its pool members."""
-        totals = super().memo_stats()
-        for compressor in self.pool:
-            for key, value in compressor.memo_stats().items():
-                totals[key] += value
-        return totals
 
     def decompress(self, line: CompressedLine) -> bytes:
         algo = self._by_name.get(line.algorithm)

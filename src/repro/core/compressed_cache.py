@@ -9,16 +9,18 @@ spatially adjacent line for free; installs compress and evict until fit.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.compression.base import Compressor
-from repro.compression.hybrid import HybridCompressor
 from repro.config import DRAMCacheConfig, LINE_SIZE, TAD_TRANSFER_BYTES
 from repro.core.indexing import index_for
 from repro.dram.device import DRAMDevice
 from repro.dramcache.alloy import L4ReadResult, L4WriteResult
-from repro.dramcache.cset import CompressedSet, PairSizeCache, StoredLine
+from repro.dramcache.cset import CompressedSet, StoredLine, l4_codecs
 from repro.obs.tracer import NULL_TRACER
+
+if TYPE_CHECKING:  # repro.sim imports this module
+    from repro.sim.linestore import LineStore
 
 DECOMPRESSION_CYCLES = 2
 """FPC/BDI decompression is 1-5 cycles (Sec 4.2); charged on read hits."""
@@ -35,14 +37,14 @@ class CompressedDRAMCache:
         self,
         config: DRAMCacheConfig,
         compressor: Optional[Compressor] = None,
+        store: Optional["LineStore"] = None,
     ) -> None:
         if not config.compressed:
             raise ValueError("config.compressed must be True")
         self.config = config
         self.num_sets = config.num_sets
         self.device = DRAMDevice(config.organization)
-        self.compressor = compressor or HybridCompressor()
-        self.pair_sizes = PairSizeCache(self.compressor)
+        self.compressor, self.pair_sizes = l4_codecs(compressor, store)
         self._sets: Dict[int, CompressedSet] = {}
         self.read_hits = 0
         self.read_misses = 0

@@ -21,7 +21,7 @@ Statistics feed Figs 10-12 and Table 4/5 plus the Sec 5.3 accuracy numbers.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from repro.compression.base import Compressor
 from repro.config import DRAMCacheConfig, LINE_SIZE
@@ -34,6 +34,9 @@ from repro.core.indexing import bai_index, tsi_index
 from repro.dramcache.alloy import L4ReadResult, L4WriteResult
 from repro.dramcache.cset import StoredLine
 
+if TYPE_CHECKING:  # repro.sim imports this module
+    from repro.sim.linestore import LineStore
+
 INVALIDATE_BYTES = 16
 """Bus bytes charged for a stale-copy invalidation write (one burst)."""
 
@@ -45,10 +48,11 @@ class DICECache(CompressedDRAMCache):
         self,
         config: DRAMCacheConfig,
         compressor: Optional[Compressor] = None,
+        store: Optional["LineStore"] = None,
     ) -> None:
         if config.index_scheme != "dice":
             raise ValueError("DICECache requires index_scheme='dice'")
-        super().__init__(config, compressor)
+        super().__init__(config, compressor, store)
         self.threshold = config.dice_threshold
         self.cip = CacheIndexPredictor(config.cip_entries)
         # Fig 11 install accounting

@@ -14,13 +14,16 @@ DICE:
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.compression.base import Compressor
 from repro.config import DRAMCacheConfig
 from repro.core.compressed_cache import DECOMPRESSION_CYCLES
 from repro.core.dice import DICECache
 from repro.dramcache.alloy import L4ReadResult
+
+if TYPE_CHECKING:  # repro.sim imports this module
+    from repro.sim.linestore import LineStore
 
 KNL_TRANSFER_BYTES = 72
 """KNL moves the TAD over four 18 B (16 B + ECC) bursts — no neighbor tag."""
@@ -33,12 +36,13 @@ class KNLDICECache(DICECache):
         self,
         config: DRAMCacheConfig,
         compressor: Optional[Compressor] = None,
+        store: Optional["LineStore"] = None,
     ) -> None:
         if config.neighbor_tag_visible:
             config = type(config)(
                 **{**config.__dict__, "neighbor_tag_visible": False}
             )
-        super().__init__(config, compressor)
+        super().__init__(config, compressor, store)
         self.miss_double_probes = 0
 
     def _access_device(self, set_index, arrival, nbytes=KNL_TRANSFER_BYTES):

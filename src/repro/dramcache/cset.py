@@ -17,12 +17,16 @@ set, so this generalizes the baseline's replacement.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.compression.base import Compressor
+from repro.compression.hybrid import HybridCompressor
 from repro.compression.pair import pair_compressed_size
 from repro.config import MAX_LINES_PER_SET, TAG_BYTES_COMPRESSED
 from repro.dramcache.tad import SET_DATA_BYTES
+
+if TYPE_CHECKING:  # repro.sim imports this module
+    from repro.sim.linestore import LineStore
 
 
 @dataclass
@@ -42,14 +46,21 @@ class PairSizeCache:
     Bounded LRU keyed on the pair's raw bytes: a hit re-inserts the entry
     (dict order is insertion order) and, at capacity, the least recently
     used entry is dropped — unlike a clear-when-full cache, the hot working
-    set of pairs survives capacity pressure.
+    set of pairs survives capacity pressure.  ``cache`` may be a dict that
+    outlives this instance (a worker store's pair memo, see
+    :func:`l4_codecs`); the counters are always this instance's own.
     """
 
     __slots__ = ("_compressor", "_cache", "_capacity", "hits", "misses", "evictions")
 
-    def __init__(self, compressor: Compressor, capacity: int = 1 << 15) -> None:
+    def __init__(
+        self,
+        compressor: Compressor,
+        capacity: int = 1 << 15,
+        cache: Optional[Dict[Tuple[bytes, bytes], int]] = None,
+    ) -> None:
         self._compressor = compressor
-        self._cache: Dict[Tuple[bytes, bytes], int] = {}
+        self._cache: Dict[Tuple[bytes, bytes], int] = {} if cache is None else cache
         self._capacity = capacity
         self.hits = 0
         self.misses = 0
@@ -80,6 +91,22 @@ class PairSizeCache:
             "evictions": self.evictions,
             "entries": len(self._cache),
         }
+
+
+def l4_codecs(
+    compressor: Optional[Compressor], store: Optional["LineStore"]
+) -> Tuple[Compressor, PairSizeCache]:
+    """A compressed L4's own compressor and pair-size cache.
+
+    With a worker store, both are built around the store's size and pair
+    memos, so what one run sized the next one finds.  A caller's own
+    compressor keeps private memos: the store's hold hybrid sizes only.
+    """
+    if compressor is not None or store is None:
+        compressor = compressor or HybridCompressor()
+        return compressor, PairSizeCache(compressor)
+    compressor = HybridCompressor(sizes=store.sizes)
+    return compressor, PairSizeCache(compressor, cache=store.pairs)
 
 
 class CompressedSet:

@@ -23,14 +23,17 @@ trade-off is measurable in the same harness:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.compression.base import Compressor
-from repro.compression.hybrid import HybridCompressor
 from repro.config import DRAMCacheConfig, LINE_SIZE, TAD_TRANSFER_BYTES
 from repro.core.compressed_cache import DECOMPRESSION_CYCLES
 from repro.dram.device import DRAMDevice
 from repro.dramcache.alloy import L4ReadResult, L4WriteResult
+from repro.dramcache.cset import l4_codecs
+
+if TYPE_CHECKING:  # repro.sim imports this module
+    from repro.sim.linestore import LineStore
 
 TARGET_SIZE = 16
 """Per-line compression target (LCP compresses lines to 1/4 size)."""
@@ -46,11 +49,12 @@ class LCPDRAMCache:
         self,
         config: DRAMCacheConfig,
         compressor: Optional[Compressor] = None,
+        store: Optional["LineStore"] = None,
     ) -> None:
         self.config = config
         self.num_sets = config.num_sets
         self.device = DRAMDevice(config.organization)
-        self.compressor = compressor or HybridCompressor()
+        self.compressor, _pairs = l4_codecs(compressor, store)
         # set -> (line_addr, data, dirty, is_exception)
         self._sets: Dict[int, Tuple[int, bytes, bool, bool]] = {}
         self.read_hits = 0

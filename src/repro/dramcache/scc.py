@@ -18,15 +18,17 @@ compressed associative design.
 from __future__ import annotations
 
 import zlib
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.compression.base import Compressor
-from repro.compression.hybrid import HybridCompressor
 from repro.config import DRAMCacheConfig, LINE_SIZE, TAD_TRANSFER_BYTES
 from repro.core.compressed_cache import DECOMPRESSION_CYCLES
 from repro.dram.device import DRAMDevice
 from repro.dramcache.alloy import L4ReadResult, L4WriteResult
-from repro.dramcache.cset import CompressedSet, PairSizeCache, StoredLine
+from repro.dramcache.cset import CompressedSet, StoredLine, l4_codecs
+
+if TYPE_CHECKING:  # repro.sim imports this module
+    from repro.sim.linestore import LineStore
 
 SCC_WAYS = 4
 """Skewed ways probed per request (3 tag probes + 1 data access)."""
@@ -47,13 +49,13 @@ class SCCDRAMCache:
         self,
         config: DRAMCacheConfig,
         compressor: Optional[Compressor] = None,
+        store: Optional["LineStore"] = None,
     ) -> None:
         self.config = config
         # Partition the frame space into SCC_WAYS skewed banks of sets.
         self.sets_per_way = max(2, config.num_sets // SCC_WAYS)
         self.device = DRAMDevice(config.organization)
-        self.compressor = compressor or HybridCompressor()
-        self.pair_sizes = PairSizeCache(self.compressor)
+        self.compressor, self.pair_sizes = l4_codecs(compressor, store)
         self._ways: List[Dict[int, CompressedSet]] = [
             {} for _ in range(SCC_WAYS)
         ]

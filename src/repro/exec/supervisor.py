@@ -25,7 +25,12 @@ observable incident:
   submissions and gives running jobs a grace window to finish (each
   persists its own cache shard); whatever is still running then is
   terminated, so no worker outlives the shutdown and the campaign stays
-  resumable bit-identically.
+  resumable bit-identically;
+* **trace-once dispatch** — each worker keeps one
+  :class:`~repro.sim.linestore.LineStore` across its jobs, and a worker
+  freed by a job of one workload takes the oldest queued job of that
+  workload, so the designs replaying one trace share its line contents
+  and compressed sizes.
 
 An attempt that *raises* fails its job at once: a simulation is a
 deterministic function of its cache key, so running it again would only
@@ -61,6 +66,7 @@ from repro.chaos.policy import ChaosPolicy
 from repro.exec.job import Job
 from repro.harness import runner as runner_mod
 from repro.obs import telemetry
+from repro.sim.linestore import LineStore
 from repro.sim.metrics import SimResult
 
 
@@ -227,12 +233,19 @@ def validate_result(result) -> Optional[str]:
 # ---------------------------------------------------------------------------
 # worker-side entry points (top level: picklable under spawn)
 
+_worker_store: Optional[LineStore] = None
+"""The store a pool worker's jobs share; set by :func:`_worker_init` in
+the worker, None in every other process."""
+
 
 def _worker_init(
     chaos_policy: Optional[ChaosPolicy], run_offset: Optional[int]
 ) -> None:
-    """Set a worker up: signals, chaos seams (if any) and, in a one-worker
-    pool, trace/profile file names the way an in-process run had them."""
+    """Set a worker up: its line store, signals, chaos seams (if any) and,
+    in a one-worker pool, trace/profile file names the way an in-process
+    run had them."""
+    global _worker_store
+    _worker_store = LineStore()
     # Shutdown is the parent's call.  A fork inherits the parent's Python
     # handlers (graceful_signals, the daemon's event loop), which would
     # make SIGTERM a no-op here and leave the supervisor unable to
@@ -264,7 +277,7 @@ def _supervised_execute(
         # restore the job's distributed-trace coordinates as this
         # worker's ambient context (no-op for an untraced job)
         with telemetry.activate(job.trace):
-            result = job.execute()
+            result = job.execute(_worker_store)
     problem = validate_result(result)
     if problem is not None:
         # The poisoned value reached the cache inside job.execute();
@@ -490,13 +503,16 @@ class Supervisor:
         self._queue.extend(fed)
         return closed
 
-    def _fill(self) -> None:
-        """Hand queued jobs to the pool until ``workers`` are in flight."""
+    def _fill(self, freed: Sequence[str] = ()) -> None:
+        """Hand queued jobs to the pool until ``workers`` are in flight;
+        ``freed`` names the workloads of the jobs that just finished, one
+        per freed worker (see :meth:`_take` for who goes next)."""
         if self.shutdown.requested:
             return
         if self._stalled > self.policy.max_pool_rebuilds:
             self._fail_queued()
             return
+        freed = list(freed)
         while self._queue and len(self._futures) < self.workers:
             if self._pool is None:
                 self._pool = ProcessPoolExecutor(
@@ -510,7 +526,7 @@ class Supervisor:
                         self._launched if self.workers == 1 else None,
                     ),
                 )
-            ticket = self._queue.popleft()
+            ticket = self._take(freed.pop(0) if freed else None)
             ticket.attempts += 1
             # an uncharged requeue resubmits the same attempt number: its
             # previous incarnation's start must not reach the watchdog
@@ -529,6 +545,30 @@ class Supervisor:
                 return
             self._launched += 1
             self._futures[future] = ticket
+
+    def _take(self, freed: Optional[str]) -> _Ticket:
+        """Dequeue the job a free worker runs next.
+
+        A worker freed by a job of workload ``freed`` takes the oldest
+        queued job of that workload, so the designs replaying one
+        workload land on the worker whose store already holds it.
+        Failing that (or for a slot no finished job freed), it takes the
+        oldest job of a workload no worker is running, and failing that
+        the oldest job.  Each workload's jobs stay in queue order.
+        """
+        queue = self._queue
+        pick = None
+        if freed is not None:
+            pick = next((t for t in queue if t.job.workload == freed), None)
+        if pick is None:
+            running = {t.job.workload for t in self._futures.values()}
+            pick = next(
+                (t for t in queue if t.job.workload not in running), None
+            )
+        if pick is None:
+            return queue.popleft()
+        queue.remove(pick)
+        return pick
 
     def _step(self) -> None:
         """Wait up to one tick for a completion or a fed job, then settle
@@ -549,7 +589,7 @@ class Supervisor:
         ):
             # hand the freed workers their next jobs before the
             # bookkeeping below, so they do not idle through it
-            self._fill()
+            self._fill([ticket.job.workload for _future, ticket in finished])
         now = time.monotonic()
         self._read_markers(now)
         broken: List[_Ticket] = []

@@ -25,6 +25,7 @@ from typing import Callable, Dict, Optional, Tuple
 from repro.config import SystemConfig
 from repro.exec.cache import ShardedResultCache
 from repro.sim.engine import SimulationParams, run_workload
+from repro.sim.linestore import LineStore
 from repro.sim.metrics import SimResult
 
 DEFAULT_SCALE = int(os.environ.get("REPRO_SCALE", 4096))
@@ -392,8 +393,10 @@ def cached_run(
     *,
     scale: int = DEFAULT_SCALE,
     params: Optional[SimulationParams] = None,
+    store: Optional[LineStore] = None,
 ) -> SimResult:
-    """Run (or fetch) one simulation."""
+    """Run (or fetch) one simulation; a run draws on ``store`` (see
+    :func:`~repro.sim.engine.run_workload`)."""
     params = params or SimulationParams(accesses_per_core=DEFAULT_ACCESSES)
     key = _key(workload, config_name, scale, params)
     disk_key = json.dumps(key)
@@ -401,7 +404,7 @@ def cached_run(
     if found is not None:
         return found
     config = resolve_config(config_name, scale)
-    result = _run_executor(workload, config, params)
+    result = _run_executor(workload, config, params, store=store)
     _memory_cache[key] = result
     if _DISK_CACHE:
         entry = _result_to_dict(result)

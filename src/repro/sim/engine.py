@@ -17,6 +17,7 @@ from typing import List, Optional
 from repro import obs
 from repro.config import SystemConfig
 from repro.sim.energy import EnergyParams, total_energy_nj
+from repro.sim.linestore import LineStore
 from repro.sim.metrics import SimResult
 from repro.sim.system import MemorySystem
 from repro.workloads.base import TraceGenerator
@@ -41,9 +42,13 @@ class SimulationParams:
 
 
 def _build_generators(
-    workload: str, config: SystemConfig, params: SimulationParams
+    workload: str,
+    config: SystemConfig,
+    params: SimulationParams,
+    store: LineStore,
 ) -> List[TraceGenerator]:
-    """One trace generator per core (rate mode or a mix)."""
+    """One trace generator per core (rate mode or a mix), each drawing its
+    initial line contents from ``store``."""
     num_cores = config.core.num_cores
     if is_mix(workload):
         names = mix_members(workload)
@@ -54,7 +59,7 @@ def _build_generators(
             )
     else:
         names = [workload] * num_cores
-    return [
+    generators = [
         TraceGenerator(
             get_profile(name),
             scale=config.scale,
@@ -63,6 +68,10 @@ def _build_generators(
         )
         for core, name in enumerate(names)
     ]
+    tables = store.line_tables([g.data for g in generators])
+    for generator, table in zip(generators, tables):
+        generator.lines = table
+    return generators
 
 
 def _build_injector(config: SystemConfig, params: SimulationParams):
@@ -97,9 +106,16 @@ def run_workload(
     config: SystemConfig,
     params: Optional[SimulationParams] = None,
     energy_params: EnergyParams = EnergyParams(),
+    store: Optional[LineStore] = None,
 ) -> SimResult:
-    """Simulate one workload on one machine configuration."""
+    """Simulate one workload on one machine configuration.
+
+    ``store`` keeps line contents and compressed sizes for later runs (a
+    pool worker passes its own); without one the run builds a fresh store
+    and nothing outlives it.  The result is the same either way.
+    """
     params = params or SimulationParams()
+    store = store if store is not None else LineStore()
     run_obs = obs.begin_run(f"{workload}x{config.name}")
     tracer = run_obs.tracer
     prof = run_obs.profiler
@@ -107,12 +123,13 @@ def run_workload(
     started = time.perf_counter()
     if prof.enabled:
         prof.enter("sim")
-    generators = _build_generators(workload, config, params)
+    generators = _build_generators(workload, config, params, store)
     system = MemorySystem(
         config,
         _DataRouter(generators),
         fault_injector=_build_injector(config, params),
         obs=run_obs,
+        store=store,
     )
     tracer.set_phase("warmup")
 

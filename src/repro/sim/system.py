@@ -9,6 +9,7 @@ demand, which is how a real controller overlaps it.
 
 from __future__ import annotations
 
+import weakref
 from typing import Callable, Optional
 
 from repro.cache.hierarchy import OnChipHierarchy
@@ -23,34 +24,36 @@ from repro.dramcache.scc import SCCDRAMCache
 from repro.obs import RunObservability, instrument_method
 from repro.resilience.ecc import CORRECTED, DETECTED
 from repro.resilience.injector import FaultInjector
+from repro.sim.linestore import LineStore
 from repro.sim.prefetch import prefetch_target
 from repro.workloads.base import Access
 
 DataGenerator = Callable[[int], bytes]
 
 
-def build_l4(config):
+def build_l4(config, store: Optional[LineStore] = None):
     """Instantiate the DRAM-cache design named by a config.
 
     Accepts either a full :class:`SystemConfig` or a bare
-    :class:`~repro.config.DRAMCacheConfig`.
+    :class:`~repro.config.DRAMCacheConfig`.  A compressed design builds
+    its compressor and pair-size cache around ``store``'s memos.
     """
     l4cfg = getattr(config, "l4", config)
     if not l4cfg.compressed:
         return AlloyCache(l4cfg)
     scheme = l4cfg.index_scheme
     if scheme in ("tsi", "nsi", "bai"):
-        return CompressedDRAMCache(l4cfg)
+        return CompressedDRAMCache(l4cfg, store=store)
     if scheme == "dice":
         if l4cfg.neighbor_tag_visible:
-            return DICECache(l4cfg)
-        return KNLDICECache(l4cfg)
+            return DICECache(l4cfg, store=store)
+        return KNLDICECache(l4cfg, store=store)
     if scheme == "scc":
-        return SCCDRAMCache(l4cfg)
+        return SCCDRAMCache(l4cfg, store=store)
     if scheme == "lcp":
         from repro.dramcache.lcp import LCPDRAMCache
 
-        return LCPDRAMCache(l4cfg)
+        return LCPDRAMCache(l4cfg, store=store)
     raise ValueError(f"unknown L4 design {scheme!r}")
 
 
@@ -63,10 +66,11 @@ class MemorySystem:
         data_generator: DataGenerator,
         fault_injector: Optional[FaultInjector] = None,
         obs: Optional[RunObservability] = None,
+        store: Optional[LineStore] = None,
     ) -> None:
         self.config = config
         self.hierarchy = OnChipHierarchy(config.l3)
-        self.l4 = build_l4(config)
+        self.l4 = build_l4(config, store)
         self.memory = MainMemory(config.memory, data_generator)
         self.mapi = MAPIPredictor()
         self.fault_injector = fault_injector
@@ -86,7 +90,17 @@ class MemorySystem:
             "sim.demand.latency_cycles"
         )
         self.l4_bandwidth = self.metrics.tracker("sim.l4.bandwidth")
-        self.metrics.add_collector(self._collect_metrics)
+        # Held weakly: a bound method in our own registry would make every
+        # finished run cyclic garbage, kept (with its caches, memos and
+        # line tables) until a full collection.
+        collect = weakref.WeakMethod(self._collect_metrics)
+
+        def collect_while_alive(registry) -> None:
+            method = collect()
+            if method is not None:
+                method(registry)
+
+        self.metrics.add_collector(collect_while_alive)
         if self.tracer.enabled:
             # hand the run's tracer down to the timing devices (instance
             # attributes shadow the class-level NULL_TRACER)
@@ -101,7 +115,9 @@ class MemorySystem:
             # profiler frames.  Applied only when profiling is enabled, so
             # unprofiled runs keep the original unwrapped bound methods.
             # The compressor instance is shared with the pair-size cache,
-            # so one wrap covers both install- and probe-side codec calls.
+            # so one wrap covers both install- and probe-side codec calls;
+            # it is this run's own (a worker store shares only its memos),
+            # so the wrap ends with the run.
             # Frames that model simulated time are charged the cycles from
             # their start argument to the finish cycle they return; L4
             # prefetch probes share the l4.lookup frame with demand reads.

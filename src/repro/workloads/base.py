@@ -117,6 +117,9 @@ class TraceGenerator:
         self.data = LineDataFactory(
             profile.class_weights, seed=_stable_hash(profile.name) & 0xFFFF
         )
+        # initial contents already synthesized, by local line address; a
+        # run points this at its worker store's table for ``self.data``
+        self.lines: Dict[int, bytes] = {}
         self._rng = random.Random(
             (seed * 1_000_003) ^ _stable_hash(profile.name)
         )
@@ -147,7 +150,11 @@ class TraceGenerator:
 
     def line_data(self, line_addr: int) -> bytes:
         """Initial memory contents for a (physical) line of this workload."""
-        return self.data.line_data(line_addr - self.core_offset)
+        local = line_addr - self.core_offset
+        data = self.lines.get(local)
+        if data is None:
+            data = self.lines[local] = self.data.line_data(local)
+        return data
 
     def _zipf_offset(self, span: int) -> int:
         """Heavily skewed offset in [0, span): frequency ~ 1/rank."""
@@ -170,7 +177,10 @@ class TraceGenerator:
             self._stream_pos = rng.randrange(self.footprint)
         return self._stream_pos
 
-    DEFAULT_CHUNK = 256
+    DEFAULT_CHUNK = 64
+    """Accesses per refill.  A run draws fewer than this many per core
+    beyond what it serves, so a short job synthesizes little traffic it
+    never simulates."""
 
     def chunks(self, size: int = DEFAULT_CHUNK) -> Iterator[List[Access]]:
         """Batched view of the endless stream for tight consumer loops.

@@ -180,6 +180,12 @@ class LineDataFactory:
             for acc, name in _cumulative(class_weights, total)
         )
 
+    @property
+    def key(self) -> Tuple:
+        """Everything :meth:`line_data` reads besides the address: two
+        factories with equal keys synthesize identical lines."""
+        return (self.seed, self._cdf)
+
     def class_for_page(self, page: int) -> str:
         """Deterministic class assignment for a page."""
         u = (_mix(page * 0x9E3779B1 + self.seed * 31 + 7) >> 11) / float(1 << 53)

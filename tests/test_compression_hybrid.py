@@ -94,6 +94,37 @@ class TestHybrid:
         assert h.compress(random_line).size == LINE_SIZE
 
 
+    def test_simulation_leaves_pool_member_memos_empty(self, monkeypatch):
+        """The hybrid's memo sees every repeat first, so it sizes through
+        its members' kernels and their memos are never built; the sizes
+        are still the best member's encoding."""
+        from repro.harness.runner import resolve_config
+        from repro.sim.engine import SimulationParams, run_workload
+        from repro.sim.system import MemorySystem
+
+        systems = []
+        init = MemorySystem.__init__
+
+        def capturing(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            systems.append(self)
+
+        monkeypatch.setattr(MemorySystem, "__init__", capturing)
+        run_workload(
+            "mcf", resolve_config("dice", 4096),
+            SimulationParams(accesses_per_core=200),
+        )
+        hybrid = systems[0].l4.compressor
+        assert hybrid.memo_stats()["misses"] > 0
+        for member in hybrid.pool:
+            assert member.memo_stats()["entries"] == 0
+            assert member.memo_stats()["misses"] == 0
+        sized = list(hybrid.memo._sizes.items())
+        assert sized
+        for data, size in sized:
+            assert size == min(m.compress(data).size for m in hybrid.pool)
+
+
 class TestCompressedLineValidation:
     def test_size_bounds_enforced(self):
         from repro.compression.base import CompressedLine

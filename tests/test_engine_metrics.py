@@ -87,6 +87,32 @@ class TestRunWorkload:
         assert CORE_ADDRESS_STRIDE > (1 << 26) * 64  # frame space per core
 
 
+    def test_finished_run_is_freed_without_the_cycle_collector(
+        self, monkeypatch
+    ):
+        """Nothing of a run outlives it: in-process rounds would otherwise
+        pile up each run's caches until a full collection."""
+        import gc
+        import weakref
+
+        from repro.sim.system import MemorySystem
+
+        systems = []
+        init = MemorySystem.__init__
+
+        def capturing(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            systems.append(weakref.ref(self))
+
+        monkeypatch.setattr(MemorySystem, "__init__", capturing)
+        gc.disable()
+        try:
+            run_workload("mcf", small_config(), small_params())
+            assert systems and systems[0]() is None
+        finally:
+            gc.enable()
+
+
 class TestSimResult:
     def make(self, ipcs, cycles=1000.0, energy=500.0) -> SimResult:
         return SimResult(
