@@ -82,7 +82,7 @@ examples:
 	python examples/trace_replay.py omnetpp 1500
 
 clean:
-	rm -f .sim_cache.json .sim_cache.json.migrated .sim_cache.corrupt.json
+	rm -f .sim_cache.json
 	rm -rf .sim_cache.d .sim_cache.cas
 	rm -f .service_checkpoint.json
 	rm -f BENCH_parallel.json

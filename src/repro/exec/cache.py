@@ -1,25 +1,22 @@
 """Concurrency-safe sharded result store: one file per cache entry.
 
-The monolithic ``.sim_cache.json`` of earlier revisions was crash-safe
-(temp file + fsync + atomic rename) but not *concurrency*-safe: two
-processes saving at once each rewrote the whole file from their private
-in-memory store, so the last writer silently dropped the other's entries.
-Sharding fixes that structurally — every cache key owns its own entry
-file, so N workers writing N different keys touch N different files and
-merge by construction, while two writers of the *same* key race only
-between bit-identical payloads (simulations are deterministic functions
-of the key).
+Every cache key owns its own entry file, so N workers writing N different
+keys touch N different files and merge by construction, while two writers
+of the *same* key race only between bit-identical payloads (simulations
+are deterministic functions of the key, which names everything that was
+simulated).
 
 Layout (``root`` is ``<cache path>.d/``, e.g. ``.sim_cache.d/``)::
 
     .sim_cache.d/
         <sha256(key)[:32]>.json     one entry: {"key": ..., "result": ...}
-        <shard>.json.corrupt        quarantined unreadable entry files
+        <shard>.json.corrupt        quarantined entry files
 
-Each entry file is written with the same temp + fsync + rename discipline
-as before, so readers never observe a torn entry.  The store knows
-nothing about :class:`~repro.sim.metrics.SimResult` schemas — entries are
-opaque JSON values; schema validation stays in the harness layer.
+Each entry file is written with temp file + fsync + atomic rename, so
+readers never observe a torn entry.  The store knows nothing about
+:class:`~repro.sim.metrics.SimResult` schemas — entries are opaque JSON
+values; a reader passes :meth:`ShardedResultCache.read` its own decoder,
+and an entry the decoder rejects is quarantined like an unreadable one.
 """
 
 from __future__ import annotations
@@ -30,7 +27,7 @@ import logging
 import os
 import tempfile
 from pathlib import Path
-from typing import Dict, Optional, Set
+from typing import Callable, Dict, Optional, Set
 
 from repro.chaos import controller as _chaos
 
@@ -139,13 +136,18 @@ class ShardedResultCache:
 
     # -- reads ---------------------------------------------------------------
 
-    def read(self, key: str) -> Optional[object]:
-        """The entry stored under ``key``, or None (quarantining a torn file).
+    def read(
+        self, key: str, decode: Optional[Callable[[object], object]] = None
+    ) -> Optional[object]:
+        """The entry stored under ``key`` (passed through ``decode`` when
+        given), or None, quarantining a shard that cannot be used.
 
-        Any unreadable shard — truncated JSON, an ``OSError``, or a write
-        torn mid-UTF-8-sequence (which surfaces as ``UnicodeDecodeError``,
-        a ``ValueError`` that is *not* a ``JSONDecodeError``) — counts as
-        a plain miss; the evidence moves aside, the caller re-simulates.
+        Any unusable shard — truncated JSON, an ``OSError``, a write torn
+        mid-UTF-8-sequence (which surfaces as ``UnicodeDecodeError``, a
+        ``ValueError`` that is *not* a ``JSONDecodeError``), a foreign
+        payload, or an entry ``decode`` rejects with a ``ValueError`` —
+        counts as a plain miss; the evidence moves aside, the caller
+        re-simulates.
         """
         path = self.entry_path(key)
         try:
@@ -154,16 +156,17 @@ class ShardedResultCache:
             _health.misses += 1
             return None
         except (ValueError, OSError):
-            self._quarantine(path)
-            _health.misses += 1
-            return None
+            return self._reject(path)
         if not isinstance(payload, dict) or payload.get("key") != key:
-            # Hash collision or foreign/garbled payload: treat as a miss.
-            self._quarantine(path)
-            _health.misses += 1
-            return None
+            return self._reject(path)  # hash collision or foreign payload
+        entry = payload.get("result")
+        if decode is not None:
+            try:
+                entry = decode(entry)
+            except ValueError:
+                return self._reject(path)
         _health.hits += 1
-        return payload.get("result")
+        return entry
 
     def read_all(self) -> Dict[str, object]:
         """Every readable entry as ``{key: result}`` (quarantines bad files)."""
@@ -297,27 +300,17 @@ class ShardedResultCache:
         except OSError:
             pass  # quarantined files (or a racing writer) keep it alive
 
-    # -- migration -----------------------------------------------------------
-
-    def import_entries(self, entries: Dict[str, object]) -> int:
-        """Write each entry that is not already sharded; returns the count.
-
-        This is the one-time migration path from the monolithic cache file:
-        existing shard entries win (they are at least as fresh), so two
-        processes migrating concurrently converge on the same directory.
-        """
-        imported = 0
-        for key, result in entries.items():
-            if not self.exists(key):
-                self.write(key, result)
-                imported += 1
-        return imported
-
     # -- internals -----------------------------------------------------------
+
+    @classmethod
+    def _reject(cls, path: Path) -> None:
+        """Quarantine a shard a read cannot use; the read is a miss."""
+        cls._quarantine(path)
+        _health.misses += 1
 
     @staticmethod
     def _quarantine(path: Path) -> None:
-        """Move an unreadable entry file aside so the evidence survives."""
+        """Move an unusable entry file aside so the evidence survives."""
         _health.quarantined += 1
         try:
             os.replace(path, path.with_name(path.name + _QUARANTINE_SUFFIX))

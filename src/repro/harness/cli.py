@@ -556,6 +556,8 @@ def _manifest_command(argv: List[str]) -> int:
         except (OSError, json.JSONDecodeError) as exc:
             print(f"error: cannot read shard: {exc}", file=sys.stderr)
             return EXIT_USAGE
+        if isinstance(entry, dict) and set(entry) == {"key", "result"}:
+            entry = entry["result"]  # a shard wraps the result with its key
         if not isinstance(entry, dict):
             print(
                 f"error: {args.shard} is not a cache shard (expected a "
@@ -573,7 +575,11 @@ def _manifest_command(argv: List[str]) -> int:
         fault_rate=args.fault_rate,
         ecc=args.ecc,
     )
-    result = peek_cached(args.workload, args.config, params=params)
+    try:
+        result = peek_cached(args.workload, args.config, params=params)
+    except KeyError as exc:
+        print(f"error: {exc.args[0]}", file=sys.stderr)
+        return EXIT_USAGE
     if result is None:
         print(
             f"no cached result for {args.workload} × {args.config} at these "
@@ -1282,8 +1288,8 @@ def _cache_info_command(argv: List[str]) -> int:
     print("result cache (sharded):")
     for name in ("root", "shards", "bytes", "quarantined_files", "hits",
                  "misses", "quarantined", "write_errors", "skipped_writes",
-                 "open_breakers", "memory_entries", "loaded_disk_entries",
-                 "disk_cache_enabled"):
+                 "open_breakers", "memory_entries", "disk_cache_enabled",
+                 "model_digest"):
         if name in cache:
             print(f"  {name:20s} {cache[name]}")
     print("content store (CAS):")

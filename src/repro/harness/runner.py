@@ -6,12 +6,17 @@ machine if the disk cache is enabled) no matter how many figures use it —
 the same economy the paper gets from deriving many plots from one set of
 simulation campaigns.
 
+A result is keyed by what was simulated (:func:`_key`): the workload, the
+digest of the resolved configuration, every ``SimulationParams`` field and
+the digest of the model source this process loaded.  Editing a config
+factory or a model module therefore changes the key, and a cached result
+is never served for code or configuration that did not produce it.
+
 The disk cache is *sharded*: each entry lives in its own file under
 ``.sim_cache.d/`` (see :class:`repro.exec.cache.ShardedResultCache`), so
 the parallel scheduler's N worker processes can read and write results
-concurrently without clobbering each other.  A monolithic
-``.sim_cache.json`` left by an earlier revision is migrated into the
-shard directory once, then renamed aside.
+concurrently without clobbering each other.  A lookup checks memory, then
+reads the one shard its key names.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from typing import Callable, Dict, Optional, Tuple
 
 from repro.config import SystemConfig
 from repro.exec.cache import ShardedResultCache
+from repro.obs.manifest import MODEL_DIGEST, config_digest
 from repro.sim.engine import SimulationParams, run_workload
 from repro.sim.linestore import LineStore
 from repro.sim.metrics import SimResult
@@ -34,7 +40,6 @@ DEFAULT_SCALE = int(os.environ.get("REPRO_SCALE", 4096))
 DEFAULT_ACCESSES = int(os.environ.get("REPRO_ACCESSES", 6000))
 """L3 accesses simulated per core (raise for higher-fidelity runs)."""
 
-_CACHE_VERSION = 7  # bump when simulator behaviour or result schema changes
 _DISK_CACHE = os.environ.get("REPRO_DISK_CACHE", "1") != "0"
 _CACHE_PATH = Path(
     os.environ.get("REPRO_CACHE_PATH", Path(__file__).resolve().parents[3] / ".sim_cache.json")
@@ -132,9 +137,10 @@ def resolve_config(name: str, scale: int = DEFAULT_SCALE) -> SystemConfig:
     if name in PREFETCH_CONFIGS:
         base_name, mode = PREFETCH_CONFIGS[name]
         cfg = make_config(base_name, scale)
-        import dataclasses
-
         return dataclasses.replace(cfg, l3_prefetch=mode, name=name)
+    if name not in STANDARD_CONFIGS:
+        known = sorted([*STANDARD_CONFIGS, *PREFETCH_CONFIGS])
+        raise KeyError(f"unknown config {name!r}; known: {', '.join(known)}")
     return make_config(name, scale)
 
 
@@ -142,8 +148,9 @@ def resolve_config(name: str, scale: int = DEFAULT_SCALE) -> SystemConfig:
 # result cache
 
 _memory_cache: Dict[Tuple, SimResult] = {}
-_disk_loaded = False
-_disk_store: Dict[str, dict] = {}
+# (config name, scale) -> config digest: a digest costs 80-130 us on a
+# 2-core Xeon VM, and a warm daemon submission keys every job it holds
+_config_digests: Dict[Tuple[str, int], str] = {}
 
 # The executor actually invoked for uncached simulations: `run_workload`,
 # unless a test injects a stand-in (a flaky or counting executor) through
@@ -157,28 +164,29 @@ def set_run_executor(executor: Optional[Callable[..., SimResult]]) -> None:
     _run_executor = executor if executor is not None else run_workload
 
 
-_DEFAULT_SAMPLE_EVERY = SimulationParams().capacity_sample_every
+def named_config_digest(config_name: str, scale: int) -> str:
+    """Digest of the resolved config, memoized per process; raises
+    ``KeyError`` for an unknown name."""
+    digest = _config_digests.get((config_name, scale))
+    if digest is None:
+        digest = config_digest(resolve_config(config_name, scale))
+        _config_digests[(config_name, scale)] = digest
+    return digest
 
 
 def _key(workload: str, config_name: str, scale: int, params: SimulationParams) -> Tuple:
-    key = [
-        _CACHE_VERSION,
+    """What was simulated: workload, config content, every run parameter
+    and the model code.  Config name and scale are inside the digest."""
+    return (
         workload,
-        config_name,
-        scale,
+        named_config_digest(config_name, scale),
         params.accesses_per_core,
         params.warmup_fraction,
         params.seed,
-    ]
-    # Fault-free runs keep their historical keys; fault-injected runs get
-    # distinct entries per (rate, ecc) point.
-    if params.fault_rate:
-        key += [params.fault_rate, params.ecc]
-    # Likewise the capacity sampling interval (it changes
-    # effective_capacity): keyed only when it is not the default.
-    if params.capacity_sample_every != _DEFAULT_SAMPLE_EVERY:
-        key += ["capacity_sample_every", params.capacity_sample_every]
-    return tuple(key)
+        params.fault_rate,
+        params.ecc,
+        MODEL_DIGEST,
+    )
 
 
 class CacheEntryError(ValueError):
@@ -192,99 +200,6 @@ def _cache_dir() -> Path:
 
 def _store() -> ShardedResultCache:
     return ShardedResultCache(_cache_dir())
-
-
-def _migrated_path() -> Path:
-    return _CACHE_PATH.with_name(_CACHE_PATH.name + ".migrated")
-
-
-def _quarantine_path() -> Path:
-    return _CACHE_PATH.with_suffix(".corrupt.json")
-
-
-def _quarantine_file() -> None:
-    """Move an unreadable cache file aside instead of silently ignoring it."""
-    try:
-        os.replace(_CACHE_PATH, _quarantine_path())
-    except OSError:
-        pass
-
-
-def _quarantine_entry(disk_key: str, entry: object) -> None:
-    """Append one schema-drifted entry to the quarantine file and drop it."""
-    _disk_store.pop(disk_key, None)
-    if _DISK_CACHE:
-        _store().remove(disk_key)  # keep it from resurrecting on next load
-    path = _quarantine_path()
-    try:
-        quarantined = {}
-        if path.exists():
-            try:
-                quarantined = json.loads(path.read_text())
-            except (json.JSONDecodeError, OSError):
-                quarantined = {}
-        if not isinstance(quarantined, dict):
-            quarantined = {}
-        quarantined[disk_key] = entry
-        path.write_text(json.dumps(quarantined))
-    except (OSError, TypeError):
-        pass
-
-
-def _migrate_monolithic() -> None:
-    """One-time import of a legacy monolithic ``.sim_cache.json``.
-
-    Valid entries are copied into the shard directory (existing shards
-    win, so concurrent migrations converge), then the monolithic file is
-    renamed aside.  A truncated or non-dict file is quarantined exactly
-    as before — the evidence survives, the cache starts fresh.
-    """
-    if not _CACHE_PATH.exists():
-        return
-    try:
-        loaded = json.loads(_CACHE_PATH.read_text())
-    except json.JSONDecodeError:
-        _quarantine_file()
-        return
-    except OSError:
-        return
-    if not isinstance(loaded, dict):
-        _quarantine_file()
-        return
-    try:
-        _store().import_entries(loaded)
-    except OSError:
-        return  # unwritable directory: leave the monolithic file in place
-    try:
-        os.replace(_CACHE_PATH, _migrated_path())
-    except OSError:
-        pass
-
-
-def _load_disk() -> None:
-    global _disk_loaded
-    if _disk_loaded or not _DISK_CACHE:
-        _disk_loaded = True
-        return
-    _disk_loaded = True
-    _migrate_monolithic()
-    _disk_store.update(_store().read_all())
-
-
-def _save_entry(disk_key: str, entry: dict) -> None:
-    """Persist one entry to its shard file (atomic; concurrency-safe).
-
-    Writing per entry instead of rewriting a monolithic store means two
-    processes finishing different simulations at the same time *merge*
-    their results on disk instead of last-writer-wins clobbering.  A
-    write that fails does not fail the run — but it is counted in the
-    ``exec.cache.write_error`` metric, logged once per shard, and feeds
-    the per-shard circuit breaker (see ``ShardedResultCache.safe_write``)
-    instead of vanishing silently.
-    """
-    if not _DISK_CACHE:
-        return
-    _store().safe_write(disk_key, entry)
 
 
 def _result_to_dict(result: SimResult) -> dict:
@@ -311,36 +226,24 @@ def _result_from_dict(d: object) -> SimResult:
     if missing:
         raise CacheEntryError(f"missing SimResult fields {sorted(missing)}")
     d = dict(d)
-    if d.get("index_distribution") is not None:
-        d["index_distribution"] = tuple(d["index_distribution"])
     try:
+        if d.get("index_distribution") is not None:
+            d["index_distribution"] = tuple(d["index_distribution"])
         return SimResult(**d)
     except TypeError as exc:
         raise CacheEntryError(str(exc)) from exc
 
 
-def _lookup(key: Tuple, disk_key: str) -> Optional[SimResult]:
-    """Memory, then loaded disk store, then a fresh shard read (so results
-    written by a concurrent process after our load are still found)."""
+def _lookup(key: Tuple) -> Optional[SimResult]:
+    """Memory, then the key's shard, read fresh so that a result written
+    by a concurrent process is found.  A shard that fails schema
+    validation is moved aside like a torn one and counts as a miss."""
     hit = _memory_cache.get(key)
-    if hit is not None:
+    if hit is not None or not _DISK_CACHE:
         return hit
-    _load_disk()
-    entry = _disk_store.get(disk_key)
-    if entry is None and _DISK_CACHE:
-        entry = _store().read(disk_key)
-        if entry is not None:
-            _disk_store[disk_key] = entry
-    if entry is None:
-        return None
-    try:
-        result = _result_from_dict(entry)
-    except CacheEntryError:
-        # Stale or corrupt entry: quarantine it and re-simulate rather
-        # than crashing mid-benchmark.
-        _quarantine_entry(disk_key, entry)
-        return None
-    _memory_cache[key] = result
+    result = _store().read(json.dumps(key), decode=_result_from_dict)
+    if result is not None:
+        _memory_cache[key] = result
     return result
 
 
@@ -353,8 +256,7 @@ def peek_cached(
 ) -> Optional[SimResult]:
     """The cached result for this run, or None — never simulates."""
     params = params or SimulationParams(accesses_per_core=DEFAULT_ACCESSES)
-    key = _key(workload, config_name, scale, params)
-    return _lookup(key, json.dumps(key))
+    return _lookup(_key(workload, config_name, scale, params))
 
 
 def seed_cache(
@@ -373,18 +275,14 @@ def seed_cache(
     """
     params = params or SimulationParams(accesses_per_core=DEFAULT_ACCESSES)
     key = _key(workload, config_name, scale, params)
-    disk_key = json.dumps(key)
     _memory_cache[key] = result
     if not _DISK_CACHE:
-        return  # _disk_store mirrors disk; don't grow it past clear_cache()
-    _load_disk()
-    if disk_key not in _disk_store:
-        entry = _result_to_dict(result)
-        _disk_store[disk_key] = entry
-        # A forked worker has usually persisted the shard already; skip
-        # the redundant write when it has.
-        if not _store().exists(disk_key):
-            _save_entry(disk_key, entry)
+        return
+    disk_key = json.dumps(key)
+    # A forked worker has usually persisted the shard already; skip the
+    # redundant write when it has.
+    if not _store().exists(disk_key):
+        _store().safe_write(disk_key, _result_to_dict(result))
 
 
 def cached_run(
@@ -399,31 +297,23 @@ def cached_run(
     :func:`~repro.sim.engine.run_workload`)."""
     params = params or SimulationParams(accesses_per_core=DEFAULT_ACCESSES)
     key = _key(workload, config_name, scale, params)
-    disk_key = json.dumps(key)
-    found = _lookup(key, disk_key)
+    found = _lookup(key)
     if found is not None:
         return found
     config = resolve_config(config_name, scale)
     result = _run_executor(workload, config, params, store=store)
     _memory_cache[key] = result
     if _DISK_CACHE:
-        entry = _result_to_dict(result)
-        _disk_store[disk_key] = entry
-        _save_entry(disk_key, entry)
+        # atomic and concurrency-safe; a failing disk is counted, not raised
+        _store().safe_write(json.dumps(key), _result_to_dict(result))
     return result
 
 
 def clear_cache(disk: bool = False) -> None:
     """Drop cached results (tests use this to force fresh runs)."""
-    global _disk_loaded
-    _memory_cache.clear()
+    drop_memory_state()
     if disk:
-        _disk_store.clear()
-        _disk_loaded = False  # a later lookup re-scans (now empty) shards
         _store().clear()
-        for path in (_CACHE_PATH, _migrated_path()):
-            if path.exists():
-                path.unlink()
 
 
 def invalidate(
@@ -433,7 +323,7 @@ def invalidate(
     scale: int = DEFAULT_SCALE,
     params: Optional[SimulationParams] = None,
 ) -> None:
-    """Forget one cached result everywhere: memory, loaded store, disk.
+    """Forget one cached result everywhere: memory and disk.
 
     The supervisor calls this when a job's payload fails validation
     (e.g. a chaos-corrupted result): the poisoned entry must not survive
@@ -441,11 +331,9 @@ def invalidate(
     """
     params = params or SimulationParams(accesses_per_core=DEFAULT_ACCESSES)
     key = _key(workload, config_name, scale, params)
-    disk_key = json.dumps(key)
     _memory_cache.pop(key, None)
-    _disk_store.pop(disk_key, None)
     if _DISK_CACHE:
-        _store().remove(disk_key)
+        _store().remove(json.dumps(key))
 
 
 def set_cache_path(path) -> Path:
@@ -471,27 +359,26 @@ def cache_stats() -> Dict[str, object]:
 
     Joins the sharded store's shape (shards, bytes, quarantine evidence)
     and this process's hit/miss/write-error ledger with the in-memory
-    layer's entry counts.  Served verbatim by the campaign service's
-    ``GET /healthz`` and printed by ``cli cache-info``.
+    layer's entry count and the model digest every key carries.  Served
+    verbatim by the campaign service's ``GET /healthz`` and printed by
+    ``cli cache-info``.
     """
     stats = _store().stats()
     stats["disk_cache_enabled"] = _DISK_CACHE
     stats["memory_entries"] = len(_memory_cache)
-    stats["loaded_disk_entries"] = len(_disk_store)
+    stats["model_digest"] = MODEL_DIGEST
     return stats
 
 
 def drop_memory_state() -> None:
     """Forget all in-process cache state, keeping disk intact.
 
-    Emulates a fresh process: the next lookup reloads from the shard
-    directory.  Used by tests and the parallel benchmark script to verify
-    warm-cache behaviour without actually re-execing.
+    Emulates a fresh process: results and config digests are computed
+    again, and the next lookup reads its shard.  Used by tests and the
+    benchmarks to verify warm-cache behaviour without re-execing.
     """
-    global _disk_loaded
     _memory_cache.clear()
-    _disk_store.clear()
-    _disk_loaded = False
+    _config_digests.clear()
 
 
 def speedup(

@@ -7,9 +7,12 @@ it.  The manifest is attached with ``compare=False`` semantics: two runs
 of the same simulation are equal as results even though their manifests
 record different wall clocks.
 
-Deterministic fields (config digest, workload, seed, params) identify the
-*computation*; environmental fields (git SHA, host, wall clock, elapsed
-time, versions) identify the *execution*.
+Deterministic fields (config digest, model digest, workload, seed,
+params) identify the *computation*; environmental fields (git SHA, host,
+wall clock, elapsed time, versions) identify the *execution*.  The config
+digest and the model digest are also part of the result-cache key
+(``repro.harness.runner._key``), so a cached result always names the
+configuration and the model code that produced it.
 """
 
 from __future__ import annotations
@@ -21,9 +24,18 @@ import os
 import platform
 import subprocess
 from datetime import datetime, timezone
+from pathlib import Path
 from typing import Dict, Optional
 
 MANIFEST_SCHEMA = 1
+
+MODEL_PACKAGES = (
+    "cache", "compression", "core", "dram", "dramcache", "resilience",
+    "sim", "trace", "workloads",
+)
+"""The packages under ``repro/`` whose source decides what a simulation
+computes (with ``config.py``).  The harness stays out: the content of its
+``STANDARD_CONFIGS`` reaches the cache key through the config digest."""
 
 _UNRESOLVED = object()
 _git_sha_cache: object = _UNRESOLVED
@@ -43,6 +55,30 @@ def config_digest(config) -> str:
     return hashlib.sha256(
         canonical_config_json(config).encode("utf-8")
     ).hexdigest()[:16]
+
+
+def model_source_digest(root: Path) -> str:
+    """Short SHA-256 over the model's source files under package ``root``.
+
+    Hashes each ``.py`` file of :data:`MODEL_PACKAGES` plus ``config.py``
+    as its path relative to ``root`` followed by its bytes, in sorted
+    path order, so any edit, addition, removal or rename changes it.
+    """
+    paths = [root / "config.py"]
+    for package in MODEL_PACKAGES:
+        paths.extend((root / package).rglob("*.py"))
+    digest = hashlib.sha256()
+    for rel in sorted(path.relative_to(root).as_posix() for path in paths):
+        digest.update(rel.encode("utf-8") + b"\0")
+        digest.update((root / rel).read_bytes())
+    return digest.hexdigest()[:16]
+
+
+MODEL_DIGEST = model_source_digest(Path(__file__).resolve().parents[1])
+"""Digest of the model code this process loaded, taken once at import.
+
+A long-lived daemon and the workers it forks run the code they imported;
+a digest taken later could hash files edited since."""
 
 
 def git_sha() -> Optional[str]:
@@ -99,6 +135,7 @@ def build_manifest(
         "workload": workload,
         "config": getattr(config, "name", str(config)),
         "config_digest": config_digest(config),
+        "model_digest": MODEL_DIGEST,
         "scale": getattr(config, "scale", None),
         "seed": getattr(params, "seed", None),
         "params": None if params is None else {
@@ -125,9 +162,9 @@ def format_manifest(manifest: Optional[Dict[str, object]]) -> str:
         return "(no manifest recorded — result predates the provenance layer)"
     lines = []
     for key in (
-        "workload", "config", "config_digest", "scale", "seed", "git_sha",
-        "host", "platform", "python", "repro_version", "wall_clock_utc",
-        "elapsed_s", "attempts",
+        "workload", "config", "config_digest", "model_digest", "scale",
+        "seed", "git_sha", "host", "platform", "python", "repro_version",
+        "wall_clock_utc", "elapsed_s", "attempts",
     ):
         if key in manifest:
             lines.append(f"{key:16s} {manifest[key]}")

@@ -63,13 +63,22 @@ def job_to_spec(job: Job) -> Dict[str, object]:
 
 
 def job_from_spec(spec: Dict[str, object]) -> Job:
-    """Rebuild a job; raises ``ValueError`` on a malformed spec."""
+    """Rebuild a job; raises ``ValueError`` on a malformed spec.
+
+    The config is resolved here, so an unknown name or a scale below 1
+    is rejected before a campaign is registered, not inside the key
+    lookup of a half-admitted one.
+    """
     if not isinstance(spec, dict):
         raise ValueError(f"job spec is {type(spec).__name__}, not an object")
     for required in ("workload", "config"):
         if not isinstance(spec.get(required), str) or not spec[required]:
             raise ValueError(f"job spec needs a non-empty {required!r}")
-    from repro.harness.runner import DEFAULT_ACCESSES
+    from repro.harness.runner import (
+        DEFAULT_ACCESSES,
+        DEFAULT_SCALE,
+        named_config_digest,
+    )
 
     try:
         accesses = int(spec.get("accesses") or DEFAULT_ACCESSES)
@@ -86,15 +95,22 @@ def job_from_spec(spec: Dict[str, object]) -> Job:
         raise ValueError(f"malformed job spec parameters: {exc}") from exc
     scale = spec.get("scale")
     try:
+        scale = DEFAULT_SCALE if scale is None else int(scale)
         rep = int(spec.get("rep", 0))
     except (TypeError, ValueError) as exc:
-        raise ValueError(f"malformed job spec rep: {exc}") from exc
+        raise ValueError(f"malformed job spec scale or rep: {exc}") from exc
+    if scale < 1:
+        raise ValueError(f"job spec scale must be >= 1, got {scale}")
     if rep < 0:
         raise ValueError(f"job spec rep must be >= 0, got {rep}")
+    try:
+        named_config_digest(spec["config"], scale)
+    except KeyError as exc:
+        raise ValueError(exc.args[0]) from None
     return make_job(
         str(spec["workload"]),
         str(spec["config"]),
-        scale=int(scale) if scale is not None else None,
+        scale=scale,
         params=params,
         rep=rep,
     )

@@ -26,6 +26,9 @@ from repro.workloads.registry import get_profile, is_mix, mix_members
 CORE_ADDRESS_STRIDE = 1 << 40
 """Per-core virtual address offset (cores do not share data in rate mode)."""
 
+CAPACITY_SAMPLE_EVERY = 512
+"""Measured accesses between two samples of the L4's valid-line count."""
+
 
 @dataclass(frozen=True)
 class SimulationParams:
@@ -34,7 +37,6 @@ class SimulationParams:
     accesses_per_core: int = 6000
     warmup_fraction: float = 0.35
     seed: int = 7
-    capacity_sample_every: int = 512  # accesses between capacity samples
     # resilience knobs (fault_rate == 0.0 leaves the fault-free fast path
     # untouched: no injector is built and results are bit-identical)
     fault_rate: float = 0.0  # injected faults per GB-hour of simulated time
@@ -179,6 +181,7 @@ def run_workload(
     end_times: List[Optional[float]] = [None] * num_cores
     end_insts: List[int] = [0] * num_cores
     capacity_samples: List[int] = []
+    sample_every = CAPACITY_SAMPLE_EVERY
     accesses_since_sample = 0
     stats_reset_done = False
     reset_cycle = 0
@@ -200,7 +203,7 @@ def run_workload(
 
         if stats_reset_done:
             accesses_since_sample += 1
-            if accesses_since_sample >= params.capacity_sample_every:
+            if accesses_since_sample >= sample_every:
                 capacity_samples.append(system.l4.valid_line_count())
                 accesses_since_sample = 0
                 # Time-series sampling shares the capacity-sample cadence

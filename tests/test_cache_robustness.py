@@ -1,9 +1,17 @@
-"""Tests for disk-cache safety: sharded entries, atomic writes, quarantine,
-legacy-file migration, and concurrent-writer merge semantics."""
+"""Tests for disk-cache safety and identity: sharded entries, atomic
+writes, quarantine, concurrent-writer merge semantics, and keys derived
+from what was simulated (config content, every run parameter, model
+source)."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -15,9 +23,21 @@ from repro.harness.runner import (
     peek_cached,
     set_run_executor,
 )
+from repro.obs.manifest import MODEL_DIGEST
 from repro.sim.engine import SimulationParams, run_workload
 
 PARAMS = SimulationParams(accesses_per_core=120, seed=9)
+
+# One value per SimulationParams field, each different from PARAMS.
+CHANGED_PARAMS = {
+    "accesses_per_core": 130,
+    "warmup_fraction": 0.25,
+    "seed": 10,
+    "fault_rate": 3e12,
+    "ecc": "none",
+}
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture
@@ -26,11 +46,9 @@ def isolated_cache(tmp_path, monkeypatch):
     cache_path = tmp_path / ".sim_cache.json"
     monkeypatch.setattr(runner_mod, "_CACHE_PATH", cache_path)
     monkeypatch.setattr(runner_mod, "_DISK_CACHE", True)
-    monkeypatch.setattr(runner_mod, "_disk_loaded", False)
-    monkeypatch.setattr(runner_mod, "_disk_store", {})
-    runner_mod._memory_cache.clear()
+    runner_mod.drop_memory_state()
     yield cache_path
-    runner_mod._memory_cache.clear()
+    runner_mod.drop_memory_state()
     set_run_executor(None)
 
 
@@ -49,13 +67,6 @@ def _shard_dir(cache_path):
 def _entry_files(cache_path):
     d = _shard_dir(cache_path)
     return sorted(d.glob("*.json")) if d.is_dir() else []
-
-
-def _fresh_process(monkeypatch):
-    """Drop in-memory state as a newly exec'd process would see it."""
-    runner_mod._memory_cache.clear()
-    monkeypatch.setattr(runner_mod, "_disk_loaded", False)
-    monkeypatch.setattr(runner_mod, "_disk_store", {})
 
 
 class TestShardedSave:
@@ -80,18 +91,17 @@ class TestShardedSave:
         set_run_executor(_counting_executor(counter))
         cached_run("sphinx", "base", scale=65536, params=PARAMS)
         assert counter == [1]
-        _fresh_process(monkeypatch)
+        runner_mod.drop_memory_state()
         cached_run("sphinx", "base", scale=65536, params=PARAMS)
         assert counter == [1]  # served from disk, not re-simulated
 
     def test_entry_written_by_concurrent_process_is_found(
         self, isolated_cache, monkeypatch
     ):
-        # Process A loaded (empty) disk state; process B then finished a
-        # run.  A's next lookup must find B's shard instead of
+        # Process A looked the run up and missed; process B then finished
+        # it.  A's next lookup must find B's shard instead of
         # re-simulating.
-        runner_mod._load_disk()
-        assert runner_mod._disk_store == {}
+        assert peek_cached("sphinx", "base", scale=65536, params=PARAMS) is None
         result = run_workload(
             "sphinx", runner_mod.resolve_config("base", 65536), PARAMS
         )
@@ -127,61 +137,17 @@ class TestConcurrentWriters:
         assert len(_entry_files(isolated_cache)) == 1
 
 
-class TestMigration:
-    def _monolithic_payload(self):
-        result = run_workload(
-            "sphinx", runner_mod.resolve_config("base", 65536), PARAMS
-        )
-        key = runner_mod._key("sphinx", "base", 65536, PARAMS)
-        return result, {json.dumps(key): runner_mod._result_to_dict(result)}
-
-    def test_legacy_monolithic_cache_is_migrated_once(self, isolated_cache):
-        result, payload = self._monolithic_payload()
-        isolated_cache.write_text(json.dumps(payload))
-        counter = []
-        set_run_executor(_counting_executor(counter))
-        assert cached_run("sphinx", "base", scale=65536, params=PARAMS) == result
-        assert counter == []  # migrated entry was honoured
-        assert not isolated_cache.exists()  # moved aside, not duplicated
-        assert isolated_cache.with_name(".sim_cache.json.migrated").exists()
-        assert len(_entry_files(isolated_cache)) == 1
-
-    def test_existing_shards_win_over_monolithic(self, isolated_cache):
-        _result, payload = self._monolithic_payload()
-        (disk_key, entry), = payload.items()
-        newer = dict(entry, cycles=entry["cycles"] + 1.0)
-        runner_mod._store().write(disk_key, newer)
-        isolated_cache.write_text(json.dumps(payload))
-        runner_mod._load_disk()
-        assert runner_mod._disk_store[disk_key]["cycles"] == newer["cycles"]
-
-
 class TestCorruptFileRecovery:
-    def test_truncated_legacy_file_is_quarantined(self, isolated_cache):
-        isolated_cache.write_text('{"half-written entry": ')
-        counter = []
-        set_run_executor(_counting_executor(counter))
-        result = cached_run("sphinx", "base", scale=65536, params=PARAMS)
-        assert result.workload == "sphinx"
-        assert counter == [1]  # fell back to simulating
-        quarantine = isolated_cache.parent / ".sim_cache.corrupt.json"
-        assert quarantine.exists()  # the evidence survives
-
-    def test_non_dict_legacy_payload_is_quarantined(self, isolated_cache):
-        isolated_cache.write_text(json.dumps(["not", "a", "dict"]))
-        counter = []
-        set_run_executor(_counting_executor(counter))
-        cached_run("sphinx", "base", scale=65536, params=PARAMS)
-        assert counter == [1]
-        assert (isolated_cache.parent / ".sim_cache.corrupt.json").exists()
-
     def test_recovered_cache_works_after_quarantine(self, isolated_cache, monkeypatch):
-        isolated_cache.write_text("garbage")
+        cached_run("sphinx", "base", scale=65536, params=PARAMS)
+        (entry_file,) = _entry_files(isolated_cache)
+        entry_file.write_text("garbage")
+        runner_mod.drop_memory_state()
         result = cached_run("sphinx", "base", scale=65536, params=PARAMS)
-        # the rewritten (sharded) cache must be healthy again
+        # the rewritten shard must be healthy again
         counter = []
         set_run_executor(_counting_executor(counter))
-        _fresh_process(monkeypatch)
+        runner_mod.drop_memory_state()
         assert cached_run("sphinx", "base", scale=65536, params=PARAMS) == result
         assert counter == []
 
@@ -193,7 +159,7 @@ class TestCorruptFileRecovery:
         entry_file.write_text('{"key": "tor')  # simulated torn write
         counter = []
         set_run_executor(_counting_executor(counter))
-        _fresh_process(monkeypatch)
+        runner_mod.drop_memory_state()
         result = cached_run("sphinx", "base", scale=65536, params=PARAMS)
         assert result.workload == "sphinx"
         assert counter == [1]  # re-simulated
@@ -205,8 +171,7 @@ class TestSchemaDrift:
     def _store_bad_entry(self, entry):
         key = runner_mod._key("sphinx", "base", 65536, PARAMS)
         disk_key = json.dumps(key)
-        runner_mod._disk_store[disk_key] = entry
-        runner_mod._disk_loaded = True
+        runner_mod._store().write(disk_key, entry)
         return disk_key
 
     def test_unknown_field_raises_cache_entry_error(self):
@@ -222,21 +187,30 @@ class TestSchemaDrift:
             _result_from_dict([1, 2, 3])
 
     def test_drifted_entry_quarantined_and_resimulated(self, isolated_cache):
+        from repro.exec.cache import cache_health, reset_cache_health
+
         bad = {"workload": "sphinx", "field_from_old_version": 42}
         disk_key = self._store_bad_entry(bad)
-        runner_mod._store().write(disk_key, bad)
+        shard = runner_mod._store().entry_path(disk_key)
+        reset_cache_health()
         counter = []
         set_run_executor(_counting_executor(counter))
         result = cached_run("sphinx", "base", scale=65536, params=PARAMS)
         assert result.workload == "sphinx"
         assert counter == [1]  # drifted entry was NOT trusted
-        quarantined = json.loads(
-            (isolated_cache.parent / ".sim_cache.corrupt.json").read_text()
-        )
-        assert quarantined[disk_key] == bad  # preserved for inspection
-        # and neither the store nor the shard file carries the bad entry
-        assert runner_mod._disk_store.get(disk_key) != bad
-        assert runner_mod._store().read(disk_key) != bad
+        # moved aside exactly like a torn shard, preserved for inspection
+        corrupt = shard.with_name(shard.name + ".corrupt")
+        assert json.loads(corrupt.read_text())["result"] == bad
+        assert cache_health().quarantined == 1
+        assert not (isolated_cache.parent / ".sim_cache.corrupt.json").exists()
+        # and the shard now holds the re-simulated result
+        assert _result_from_dict(runner_mod._store().read(disk_key)) == result
+
+    def test_malformed_field_value_raises(self, isolated_cache):
+        result = cached_run("sphinx", "base", scale=65536, params=PARAMS)
+        entry = dict(runner_mod._result_to_dict(result), index_distribution=5)
+        with pytest.raises(CacheEntryError):
+            _result_from_dict(entry)
 
     def test_roundtrip_still_works(self, isolated_cache):
         result = cached_run("sphinx", "base", scale=65536, params=PARAMS)
@@ -261,24 +235,16 @@ class TestPeekAndSeed:
             "sphinx", runner_mod.resolve_config("base", 65536), PARAMS
         )
         runner_mod.seed_cache("sphinx", "base", result, scale=65536, params=PARAMS)
-        _fresh_process(monkeypatch)
+        runner_mod.drop_memory_state()
         assert peek_cached("sphinx", "base", scale=65536, params=PARAMS) == result
 
 
 class TestFaultAwareKeys:
-    def test_fault_free_key_has_no_resilience_suffix(self):
-        key = runner_mod._key("w", "c", 1, SimulationParams())
-        faulty = runner_mod._key(
-            "w", "c", 1, SimulationParams(fault_rate=3e13)
-        )
-        assert len(faulty) == len(key) + 2
-        assert key == faulty[: len(key)]
-
     def test_distinct_rates_get_distinct_keys(self):
-        a = runner_mod._key("w", "c", 1, SimulationParams(fault_rate=3e12))
-        b = runner_mod._key("w", "c", 1, SimulationParams(fault_rate=3e13))
+        a = runner_mod._key("w", "base", 65536, SimulationParams(fault_rate=3e12))
+        b = runner_mod._key("w", "base", 65536, SimulationParams(fault_rate=3e13))
         c = runner_mod._key(
-            "w", "c", 1, SimulationParams(fault_rate=3e13, ecc="none")
+            "w", "base", 65536, SimulationParams(fault_rate=3e13, ecc="none")
         )
         assert len({a, b, c}) == 3
 
@@ -400,7 +366,7 @@ class TestCacheStats:
         cached_run("sphinx", "base", scale=65536, params=PARAMS)
         (entry_file,) = _entry_files(isolated_cache)
         entry_file.write_bytes(b'{"key": "\xff\xfe torn mid-sequence')
-        _fresh_process(monkeypatch)
+        runner_mod.drop_memory_state()
         reset_cache_health()
         assert peek_cached("sphinx", "base", scale=65536, params=PARAMS) is None
         quarantined = list(_shard_dir(isolated_cache).glob("*.corrupt"))
@@ -424,10 +390,7 @@ class TestCacheStats:
         from repro.exec.cache import cache_health, reset_cache_health
 
         cached_run("sphinx", "base", scale=65536, params=PARAMS)
-        _fresh_process(monkeypatch)
-        # skip the bulk read_all() preload so lookups take the per-shard
-        # read() path (the one the hit/miss counters instrument)
-        monkeypatch.setattr(runner_mod, "_disk_loaded", True)
+        runner_mod.drop_memory_state()
         reset_cache_health()
         assert peek_cached("sphinx", "base", scale=65536, params=PARAMS)
         assert cache_health().hits == 1
@@ -440,3 +403,90 @@ class TestCacheStats:
         assert stats["shards"] == 1
         assert stats["disk_cache_enabled"] is True
         assert stats["memory_entries"] == 1
+        assert stats["model_digest"] == MODEL_DIGEST
+
+
+class TestContentKeys:
+    """A result is keyed by what was simulated: a change to the config's
+    content, to any run parameter or to the model source is a miss, and
+    a warm re-run with none of them hits."""
+
+    def test_warm_rerun_hits(self, isolated_cache):
+        counter = []
+        set_run_executor(_counting_executor(counter))
+        cached_run("sphinx", "base", scale=65536, params=PARAMS)
+        runner_mod.drop_memory_state()
+        cached_run("sphinx", "base", scale=65536, params=PARAMS)
+        assert counter == [1]
+
+    def test_same_config_name_with_different_content_misses(
+        self, isolated_cache, monkeypatch
+    ):
+        cached_run("sphinx", "base", scale=65536, params=PARAMS)
+        runner_mod.drop_memory_state()
+        assert peek_cached("sphinx", "base", scale=65536, params=PARAMS)
+        # an edited factory behind the same name, seen by a fresh process
+        monkeypatch.setitem(
+            runner_mod.STANDARD_CONFIGS, "base",
+            runner_mod._cfg(l4_latency_factor=0.5, name="base"),
+        )
+        runner_mod.drop_memory_state()
+        assert peek_cached("sphinx", "base", scale=65536, params=PARAMS) is None
+
+    def test_every_param_field_is_part_of_the_key(self, isolated_cache):
+        names = [f.name for f in dataclasses.fields(SimulationParams)]
+        assert sorted(names) == sorted(CHANGED_PARAMS)
+        cached_run("sphinx", "base", scale=65536, params=PARAMS)
+        runner_mod.drop_memory_state()
+        assert peek_cached("sphinx", "base", scale=65536, params=PARAMS)
+        for name in names:
+            changed = dataclasses.replace(PARAMS, **{name: CHANGED_PARAMS[name]})
+            assert getattr(changed, name) != getattr(PARAMS, name)
+            assert peek_cached(
+                "sphinx", "base", scale=65536, params=changed
+            ) is None, name
+
+    def test_changed_model_source_misses(self, tmp_path):
+        """Each process runs a copy of the package against one store: a
+        rerun hits, an edit outside the model still hits, and an edit to a
+        model module misses."""
+        src = tmp_path / "src"
+        shutil.copytree(
+            SRC / "repro", src / "repro",
+            ignore=shutil.ignore_patterns("__pycache__"),
+        )
+        script = (
+            "from repro.harness.runner import cached_run, peek_cached\n"
+            "from repro.sim.engine import SimulationParams\n"
+            "p = SimulationParams(accesses_per_core=120, seed=9)\n"
+            "hit = peek_cached('sphinx', 'base', scale=65536, params=p)\n"
+            "cached_run('sphinx', 'base', scale=65536, params=p)\n"
+            "print('hit' if hit is not None else 'miss')\n"
+        )
+        env = {
+            **os.environ,
+            "PYTHONPATH": str(src),
+            "PYTHONDONTWRITEBYTECODE": "1",
+            "REPRO_CACHE_PATH": str(tmp_path / ".sim_cache.json"),
+            "REPRO_DISK_CACHE": "1",
+        }
+
+        def lookup():
+            proc = subprocess.run(
+                [sys.executable, "-c", script], env=env, cwd=tmp_path,
+                capture_output=True, text=True, timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            return proc.stdout.strip()
+
+        def append_comment(rel):
+            with open(src / "repro" / rel, "a") as handle:
+                handle.write("# edited\n")
+
+        assert lookup() == "miss"
+        assert lookup() == "hit"
+        append_comment("harness/report.py")
+        assert lookup() == "hit"
+        append_comment("sim/energy.py")
+        assert lookup() == "miss"
+        assert lookup() == "hit"

@@ -75,7 +75,6 @@ def test_simulation_failure_exit_code(capsys, monkeypatch):
     def doomed(workload, config, params=None, **kwargs):
         raise RuntimeError("all retries spent")
 
-    monkeypatch.setattr(runner_mod, "_disk_store", {})
     set_run_executor(doomed)
     try:
         assert main(["fig13", "--accesses", "100"]) == 3
@@ -217,6 +216,12 @@ class TestManifestCommandRobustness:
         assert main(["manifest", "show", "mcf", "dice",
                      "--accesses", "12345"]) == 2
         assert "no cached result" in capsys.readouterr().err
+
+    def test_unknown_config_is_usage_error_naming_known_ones(self, capsys):
+        assert main(["manifest", "show", "mcf", "warp-drive"]) == 2
+        err = capsys.readouterr().err
+        assert "unknown config 'warp-drive'" in err
+        assert "dice-nextline" in err and "Traceback" not in err
 
 
 class TestReportCommand:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import math
 
 import pytest
@@ -17,7 +16,7 @@ from repro.harness.runner import (
     resolve_config,
     speedup,
 )
-from repro.sim.engine import SimulationParams, run_workload
+from repro.sim.engine import SimulationParams
 
 
 class TestConfigs:
@@ -76,29 +75,6 @@ class TestCaching:
         other = SimulationParams(accesses_per_core=150, seed=9)
         b = cached_run("sphinx", "base", scale=65536, params=other)
         assert a is not b
-
-    def test_capacity_sample_every_is_part_of_the_key(self, monkeypatch):
-        """The sampling interval changes effective_capacity, so a run at
-        a non-default interval must not be served the default run."""
-        import repro.harness.runner as runner_mod
-
-        monkeypatch.setattr(runner_mod, "_DISK_CACHE", False)
-        params = SimulationParams(accesses_per_core=400)
-        dense = dataclasses.replace(params, capacity_sample_every=64)
-        default = cached_run("mcf", "dice", params=params)
-        sampled = cached_run("mcf", "dice", params=dense)
-        assert sampled is not default
-        fresh = run_workload("mcf", make_config("dice"), dense)
-        assert sampled.effective_capacity == fresh.effective_capacity
-        assert sampled.effective_capacity != default.effective_capacity
-
-    def test_default_params_keep_their_historical_key(self):
-        import repro.harness.runner as runner_mod
-
-        params = SimulationParams(accesses_per_core=400)
-        assert runner_mod._key("mcf", "dice", 4096, params) == (
-            runner_mod._CACHE_VERSION, "mcf", "dice", 4096, 400, 0.35, 7,
-        )
 
     def test_speedup_of_baseline_is_one(self, monkeypatch):
         import repro.harness.runner as runner_mod

@@ -168,18 +168,24 @@ class TestCLI:
         bad.write_text("nope\n")
         assert cli.main(["trace", "summarize", str(bad)]) == 2
 
-    def test_manifest_show_from_shard(self, tmp_path, tiny_system, capsys):
+    def test_manifest_show_from_shard(self, tmp_path, monkeypatch, capsys):
         from repro.harness import cli
+        from repro.harness import runner as runner_mod
 
-        result = run_workload("mcf", tiny_system, PARAMS)
-        shard = tmp_path / "entry.json"
-        import dataclasses
-
-        shard.write_text(json.dumps(dataclasses.asdict(result)))
+        monkeypatch.setattr(
+            runner_mod, "_CACHE_PATH", tmp_path / ".sim_cache.json"
+        )
+        monkeypatch.setattr(runner_mod, "_DISK_CACHE", True)
+        monkeypatch.setattr(runner_mod, "_memory_cache", {})
+        result = runner_mod.cached_run(
+            "mcf", "base", scale=65536, params=PARAMS
+        )
+        (shard,) = (tmp_path / ".sim_cache.d").glob("*.json")
         assert cli.main(["manifest", "show", "--shard", str(shard)]) == 0
         out = capsys.readouterr().out
         assert "config_digest" in out
         assert result.manifest["config_digest"] in out
+        assert result.manifest["model_digest"] in out
 
     def test_manifest_show_missing_result(self, tmp_path, monkeypatch):
         from repro.harness import cli
@@ -189,8 +195,6 @@ class TestCLI:
             runner_mod, "_CACHE_PATH", tmp_path / ".sim_cache.json"
         )
         monkeypatch.setattr(runner_mod, "_DISK_CACHE", True)
-        monkeypatch.setattr(runner_mod, "_disk_loaded", False)
-        monkeypatch.setattr(runner_mod, "_disk_store", {})
         monkeypatch.setattr(runner_mod, "_memory_cache", {})
         assert cli.main(["manifest", "show", "mcf", "dice"]) == 2
 

@@ -33,6 +33,34 @@ class TestConfigDigest:
         int(digest, 16)  # raises if not hex
 
 
+class TestModelDigest:
+    def _tree(self, root):
+        (root / "sim").mkdir(parents=True)
+        (root / "harness").mkdir()
+        (root / "config.py").write_text("SCALE = 1\n")
+        (root / "sim" / "engine.py").write_text("def run(): pass\n")
+        (root / "harness" / "cli.py").write_text("def main(): pass\n")
+        return root
+
+    def test_model_edits_change_it_and_harness_edits_do_not(self, tmp_path):
+        root = self._tree(tmp_path / "repro")
+        digest = manifest_mod.model_source_digest(root)
+        (root / "harness" / "cli.py").write_text("def main(): return 1\n")
+        assert manifest_mod.model_source_digest(root) == digest
+        (root / "sim" / "engine.py").write_text("def run(): return 1\n")
+        edited = manifest_mod.model_source_digest(root)
+        assert edited != digest
+        (root / "sim" / "engine.py").rename(root / "sim" / "loop.py")
+        assert manifest_mod.model_source_digest(root) not in (digest, edited)
+        (root / "config.py").write_text("SCALE = 2\n")
+        assert manifest_mod.model_source_digest(root) not in (digest, edited)
+
+    def test_manifest_names_the_loaded_model(self, tiny_system):
+        manifest = build_manifest("mcf", tiny_system, PARAMS)
+        assert manifest["model_digest"] == manifest_mod.MODEL_DIGEST
+        assert manifest_mod.MODEL_DIGEST in format_manifest(manifest)
+
+
 class TestGitSha:
     def test_env_override_wins(self, monkeypatch):
         monkeypatch.setattr(manifest_mod, "_git_sha_cache", manifest_mod._UNRESOLVED)
@@ -88,8 +116,6 @@ class TestManifestOnResults:
             runner_mod, "_CACHE_PATH", tmp_path / ".sim_cache.json"
         )
         monkeypatch.setattr(runner_mod, "_DISK_CACHE", True)
-        monkeypatch.setattr(runner_mod, "_disk_loaded", False)
-        monkeypatch.setattr(runner_mod, "_disk_store", {})
         monkeypatch.setattr(runner_mod, "_memory_cache", {})
         cached_run("mcf", "base", scale=65536, params=PARAMS)
         shards = list((tmp_path / ".sim_cache.d").glob("*.json"))
@@ -101,8 +127,6 @@ class TestManifestOnResults:
         assert "git_sha" in manifest
 
         # and a fresh process (cleared memory state) reloads it intact
-        monkeypatch.setattr(runner_mod, "_disk_loaded", False)
-        monkeypatch.setattr(runner_mod, "_disk_store", {})
         monkeypatch.setattr(runner_mod, "_memory_cache", {})
         reloaded = peek_cached("mcf", "base", scale=65536, params=PARAMS)
         assert reloaded is not None
@@ -115,8 +139,6 @@ class TestManifestOnResults:
             runner_mod, "_CACHE_PATH", tmp_path / ".sim_cache.json"
         )
         monkeypatch.setattr(runner_mod, "_DISK_CACHE", True)
-        monkeypatch.setattr(runner_mod, "_disk_loaded", False)
-        monkeypatch.setattr(runner_mod, "_disk_store", {})
         monkeypatch.setattr(runner_mod, "_memory_cache", {})
         result = cached_run("mcf", "base", scale=65536, params=PARAMS)
         # simulate a pre-provenance entry: strip the manifest on disk
@@ -124,8 +146,6 @@ class TestManifestOnResults:
         entry = json.loads(shard.read_text())
         del entry["result"]["manifest"]
         shard.write_text(json.dumps(entry))
-        monkeypatch.setattr(runner_mod, "_disk_loaded", False)
-        monkeypatch.setattr(runner_mod, "_disk_store", {})
         monkeypatch.setattr(runner_mod, "_memory_cache", {})
         reloaded = peek_cached("mcf", "base", scale=65536, params=PARAMS)
         assert reloaded is not None

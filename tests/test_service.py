@@ -49,8 +49,6 @@ def isolated_cache(tmp_path, monkeypatch):
     cache_path = tmp_path / ".sim_cache.json"
     monkeypatch.setattr(runner_mod, "_CACHE_PATH", cache_path)
     monkeypatch.setattr(runner_mod, "_DISK_CACHE", True)
-    monkeypatch.setattr(runner_mod, "_disk_loaded", False)
-    monkeypatch.setattr(runner_mod, "_disk_store", {})
     runner_mod._memory_cache.clear()
     yield cache_path
     runner_mod._memory_cache.clear()
@@ -364,6 +362,12 @@ class TestStreamingAndIntrospection:
         with pytest.raises(ServiceError) as excinfo:
             daemon.client._request("POST", "/campaigns", {"client": "empty"})
         assert excinfo.value.status == 400  # plans no jobs
+        # rejected at parse time, before any campaign state changes
+        for bad in ({"config": "warp-drive"}, {"scale": 0}):
+            with pytest.raises(ServiceError) as excinfo:
+                daemon.client.submit(jobs=[{**_specs(("mcf", "base"))[0], **bad}])
+            assert excinfo.value.status == 400
+        assert daemon.client._request("GET", "/campaigns") == {"campaigns": []}
 
 
 class TestBackpressure:
@@ -743,6 +747,46 @@ class TestRepetitionSpecs:
             job_from_spec({**base, "rep": -1})
         with pytest.raises(ValueError):
             job_from_spec({**base, "rep": "three"})
+
+
+class TestJobSpecs:
+    def test_non_default_spec_round_trips_with_the_same_key(self):
+        import dataclasses
+
+        from repro.exec.job import make_job
+        from repro.service.state import job_from_spec, job_to_spec
+
+        changed = {
+            "accesses_per_core": 130,
+            "warmup_fraction": 0.25,
+            "seed": 10,
+            "fault_rate": 3e12,
+            "ecc": "none",
+        }
+        defaults = SimulationParams()
+        assert sorted(f.name for f in dataclasses.fields(SimulationParams)) == (
+            sorted(changed)
+        )
+        for name, value in changed.items():
+            assert value != getattr(defaults, name), name
+        job = make_job(
+            "mcf", "dice-nextline", scale=65536,
+            params=SimulationParams(**changed), rep=3,
+        )
+        rebuilt = job_from_spec(job_to_spec(job))
+        assert rebuilt == job
+        assert rebuilt.rep == 3
+        assert rebuilt.cache_key == job.cache_key
+
+    def test_unknown_config_and_bad_scale_are_rejected(self):
+        from repro.service.state import job_from_spec
+
+        base = {"workload": "mcf", "config": "dice", "accesses": 120}
+        with pytest.raises(ValueError, match="known: .*dice-nextline"):
+            job_from_spec({**base, "config": "warp-drive"})
+        for scale in (0, -4, "big"):
+            with pytest.raises(ValueError):
+                job_from_spec({**base, "scale": scale})
 
 
 class TestStatisticalCampaigns:

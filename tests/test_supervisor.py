@@ -57,8 +57,6 @@ def isolated_cache(tmp_path, monkeypatch):
     cache_path = tmp_path / ".sim_cache.json"
     monkeypatch.setattr(runner_mod, "_CACHE_PATH", cache_path)
     monkeypatch.setattr(runner_mod, "_DISK_CACHE", True)
-    monkeypatch.setattr(runner_mod, "_disk_loaded", False)
-    monkeypatch.setattr(runner_mod, "_disk_store", {})
     runner_mod._memory_cache.clear()
     yield cache_path
     runner_mod._memory_cache.clear()

@@ -261,8 +261,6 @@ class TestDispatch:
 def isolated_cache(tmp_path, monkeypatch):
     monkeypatch.setattr(runner_mod, "_CACHE_PATH", tmp_path / ".sim_cache.json")
     monkeypatch.setattr(runner_mod, "_DISK_CACHE", True)
-    monkeypatch.setattr(runner_mod, "_disk_loaded", False)
-    monkeypatch.setattr(runner_mod, "_disk_store", {})
     runner_mod._memory_cache.clear()
     yield tmp_path
     runner_mod._memory_cache.clear()
