@@ -1,6 +1,6 @@
 # Convenience targets for the DICE reproduction.
 
-.PHONY: install test check chaos serve service-smoke top slo-check bench bench-parallel bench-core bench-gate report flight run-table examples clean
+.PHONY: install test check chaos serve service-smoke slo-check bench bench-parallel bench-core bench-gate report flight run-table examples clean
 
 install:
 	python setup.py develop
@@ -29,10 +29,6 @@ serve:
 # cross-process trace stitching + SLO verdicts.
 service-smoke:
 	PYTHONPATH=src REPRO_ACCESSES=300 python scripts/service_smoke.py
-
-# Live dashboard for a `make serve` daemon on the default port.
-top:
-	PYTHONPATH=src python -m repro.harness.cli top
 
 # Judge the daemon's service-level objectives; exit 6 when one is failing.
 slo-check:

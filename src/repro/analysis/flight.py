@@ -205,8 +205,8 @@ def _profile_section(data: Dict[str, object]) -> List[str]:
 
 def _metrics_section(metrics: Optional[Dict]) -> List[str]:
     if not metrics:
-        return ["_No metrics snapshot (run with `--metrics PATH` or "
-                "`REPRO_METRICS`)._"]
+        return ["_No metrics snapshot (a `--trace PATH` run exports "
+                "`<stem>.metrics.json` beside its trace)._"]
     payload = metrics.get("metrics", metrics)
     lines = ["| metric | value |", "|---|---:|"]
     for key, value in sorted(payload.get("counters", {}).items()):
@@ -226,8 +226,8 @@ def _slo_section(slo: Optional[Dict]) -> List[str]:
     lines = [
         f"Overall: {verdict}",
         "",
-        "| objective | verdict | value | burn rate |",
-        "|---|---|---:|---:|",
+        "| objective | verdict | value |",
+        "|---|---|---:|",
     ]
     for result in slo["results"]:
         if not isinstance(result, dict):
@@ -241,11 +241,7 @@ def _slo_section(slo: Optional[Dict]) -> List[str]:
             mark = "ok"
         value = result.get("value")
         shown = "—" if value is None else f"{float(value):g}"
-        burn = result.get("burn_rate")
-        burn_s = "—" if burn is None else f"{float(burn):.2f}"
-        lines.append(
-            f"| `{result.get('name', '?')}` | {mark} | {shown} | {burn_s} |"
-        )
+        lines.append(f"| `{result.get('name', '?')}` | {mark} | {shown} |")
     return lines
 
 

@@ -61,8 +61,8 @@ _SNAPSHOT_FIELDS = tuple(f.name for f in fields(ProgressSnapshot))
 
 
 def format_duration(seconds: Optional[float]) -> str:
-    """``h:mm:ss`` / ``m:ss`` (``--:--`` for unknown) — shared by the
-    progress line's ETA and the ``cli top`` uptime column."""
+    """``h:mm:ss`` / ``m:ss`` (``--:--`` for unknown): the progress
+    line's ETA."""
     if seconds is None:
         return "--:--"
     seconds = max(0, int(round(seconds)))
@@ -73,17 +73,13 @@ def format_duration(seconds: Optional[float]) -> str:
     return f"{minutes}:{secs:02d}"
 
 
-# historical private name, kept for in-tree callers
-_fmt_eta = format_duration
-
-
 def format_progress(snap: ProgressSnapshot) -> str:
     """``jobs 12/40 · 4 running · 1 failed · eta 0:42 (mcf × dice)``"""
     parts = [
         f"jobs {snap.done}/{snap.total}",
         f"{snap.running} running",
         f"{snap.failed} failed",
-        f"eta {_fmt_eta(snap.eta_seconds)}",
+        f"eta {format_duration(snap.eta_seconds)}",
     ]
     if snap.cache_hit_pct is not None:
         parts.append(f"cache {snap.cache_hit_pct:.0f}%")

@@ -377,10 +377,7 @@ def _exec_tracer():
     base = Path(trace_path)
     suffix = base.suffix if base.suffix else ".jsonl"
     path = base.with_name(f"{base.stem}.exec{suffix}")
-    return obs.Tracer(
-        path, every=every, meta={"scope": "exec"},
-        max_bytes=obs.trace_max_bytes(),
-    )
+    return obs.Tracer(path, every=every, meta={"scope": "exec"})
 
 
 # -- ad-hoc parallel map for sweeps ------------------------------------------

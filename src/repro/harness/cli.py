@@ -15,7 +15,6 @@ Usage::
     python -m repro.harness.cli report --flight --check
     python -m repro.harness.cli serve --port 7414 --jobs 4 --trace /tmp/svc.jsonl
     python -m repro.harness.cli submit fig13 --port 7414 --trace /tmp/client.jsonl
-    python -m repro.harness.cli top --port 7414 --once
     python -m repro.harness.cli slo check --port 7414
     python -m repro.harness.cli cache-info
 
@@ -44,12 +43,14 @@ daemon (one worker pool, one shared cache, many clients); ``cli submit``
 sends a campaign to a running daemon and streams its NDJSON progress;
 ``cli cache-info`` prints result-cache and content-store statistics.
 
-The telemetry plane rides on the same commands: ``submit --trace`` mints
-a trace context that the daemon and its workers join, ``trace stitch``
+Two switches turn observability on: ``--trace PATH`` (an event trace,
+its Chrome companion and a metrics export beside it, sampled by
+``--trace-every N``) and ``--profile PATH`` (a self-profile).  The
+telemetry plane rides on the same commands: ``submit --trace`` mints a
+trace context that the daemon and its workers join, ``trace stitch``
 merges their per-process JSONL files into one chrome://tracing document,
-``cli top`` is a live dashboard over the daemon's ``/healthz`` +
-``/metrics``, and ``cli slo check`` judges the daemon's service-level
-objectives (exit 6 when one is failing or burning its budget).
+and ``cli slo check`` judges the daemon's service-level objectives
+against its current metrics (exit 6 when one is failing).
 
 Exit codes: 0 success, 2 usage error (unknown experiment/flag), 3 a
 simulation failed or was quarantined (remaining jobs are still drained
@@ -84,6 +85,18 @@ EXIT_SLO = 6
 # The one documented default every subcommand's --seed shares (it is also
 # SimulationParams.seed).  tests/test_cli.py asserts no parser drifts.
 DEFAULT_SEED = SimulationParams().seed
+
+
+def _accesses(text: str) -> int:
+    """``--accesses``: L3 accesses per core, at least 1 (absent means the
+    ``REPRO_ACCESSES`` default; 0 is an error, not the default)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def run_one(key: str, params: SimulationParams) -> None:
@@ -202,7 +215,7 @@ def _chaos_command(argv: List[str]) -> int:
         help="comma-separated experiment keys to plan jobs from "
         "(default: fig13 — the smoke campaign)",
     )
-    parser.add_argument("--accesses", type=int, default=None)
+    parser.add_argument("--accesses", type=_accesses, default=None)
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
     parser.add_argument("--jobs", type=int, default=2)
     parser.add_argument(
@@ -439,8 +452,7 @@ def _serve_in_process(jobs, workdir, **config) -> dict:
 def _trace_command(argv: List[str]) -> int:
     """``repro trace summarize PATH`` / ``repro trace stitch PATHS...``.
 
-    ``summarize`` aggregates one recorded event trace (reading a rotated
-    ``path``/``path.1``/... set as a whole); ``stitch`` merges the
+    ``summarize`` aggregates one recorded event trace; ``stitch`` merges the
     per-process files of one distributed campaign — client, daemon, and
     worker JSONL — into a single chrome://tracing document keyed on
     their shared trace id.
@@ -540,7 +552,7 @@ def _manifest_command(argv: List[str]) -> int:
     parser.add_argument("action", choices=["show"])
     parser.add_argument("workload", nargs="?")
     parser.add_argument("config", nargs="?")
-    parser.add_argument("--accesses", type=int, default=None)
+    parser.add_argument("--accesses", type=_accesses, default=None)
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
     parser.add_argument("--fault-rate", type=float, default=0.0)
     parser.add_argument("--ecc", choices=SCHEMES, default="secded")
@@ -650,7 +662,7 @@ def _report_command(argv: List[str]) -> int:
         "to include in the report's SLO section",
     )
     parser.add_argument("--top", type=int, default=10)
-    parser.add_argument("--accesses", type=int, default=None)
+    parser.add_argument("--accesses", type=_accesses, default=None)
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
     parser.add_argument(
         "--repetitions",
@@ -870,8 +882,8 @@ def _serve_command(argv: List[str]) -> int:
         default=None,
         metavar="SPEC",
         help="add a service-level objective (e.g. "
-        "'p99_submit: p99(service.submit.wall_us{kind=warm}) <= 500000 "
-        "budget=0.1'); repeatable, on top of the built-in set",
+        "'p99_submit: p99(service.submit.wall_us{kind=warm}) <= 500000'); "
+        "repeatable, on top of the built-in set",
     )
     args = parser.parse_args(argv)
     if args.jobs is not None and args.jobs < 1:
@@ -932,7 +944,7 @@ def _submit_command(argv: List[str]) -> int:
     )
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=7414)
-    parser.add_argument("--accesses", type=int, default=None)
+    parser.add_argument("--accesses", type=_accesses, default=None)
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
     parser.add_argument("--fault-rate", type=float, default=None)
     parser.add_argument("--ecc", choices=SCHEMES, default=None)
@@ -1097,79 +1109,15 @@ def _submit_command(argv: List[str]) -> int:
     return EXIT_OK if status == "completed" else EXIT_SIM_FAILURE
 
 
-def _top_command(argv: List[str]) -> int:
-    """``repro top`` — a live dashboard over a running daemon.
-
-    Polls ``/healthz``, ``/metrics``, and ``/metrics/history`` and
-    renders queue depth (with a history sparkline), per-client fairness,
-    worker utilization, cache/CAS hit rates, and every SLO's verdict.
-    ``--once`` prints a single frame (scriptable); otherwise the screen
-    refreshes every ``--interval`` seconds until Ctrl-C.
-    """
-    import time
-
-    from repro.obs.top import render_dashboard
-    from repro.service.client import ServiceClient, ServiceError
-
-    parser = argparse.ArgumentParser(
-        prog="repro.harness.cli top",
-        description="Live dashboard for a running `cli serve` daemon.",
-    )
-    parser.add_argument("--host", default="127.0.0.1")
-    parser.add_argument("--port", type=int, default=7414)
-    parser.add_argument("--interval", type=float, default=2.0)
-    parser.add_argument(
-        "--once", action="store_true", help="print one frame and exit"
-    )
-    parser.add_argument(
-        "--iterations", type=int, default=0, metavar="N",
-        help="stop after N frames (0 = run until interrupted)",
-    )
-    args = parser.parse_args(argv)
-    if args.interval <= 0:
-        parser.error("--interval must be positive")
-    client = ServiceClient(args.host, args.port, timeout=10.0)
-    iterations = 1 if args.once else args.iterations
-    frames = 0
-    try:
-        while True:
-            try:
-                health = client.healthz()
-                metrics = client.metrics()
-                history = client.history()
-            except ServiceError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return EXIT_USAGE
-            except (ConnectionError, OSError) as exc:
-                print(
-                    f"error: cannot reach the daemon at "
-                    f"{args.host}:{args.port}: {exc} "
-                    f"(is `cli serve` running?)",
-                    file=sys.stderr,
-                )
-                return EXIT_USAGE
-            frame = render_dashboard(health, metrics, history)
-            if not args.once:
-                print("\x1b[2J\x1b[H", end="")  # clear screen, home cursor
-            print(frame, flush=True)
-            frames += 1
-            if iterations and frames >= iterations:
-                return EXIT_OK
-            time.sleep(args.interval)
-    except KeyboardInterrupt:
-        print(file=sys.stderr)
-        return EXIT_OK
-
-
 def _slo_command(argv: List[str]) -> int:
     """``repro slo check`` — judge service-level objectives.
 
     Live mode (default) evaluates the built-in service SLOs — plus any
-    ``--slo`` extras — against a running daemon's registry and history
-    ring.  ``--metrics FILE`` instead judges a ``--metrics`` JSON export
-    offline (``--slo`` is then required: a run export has no service
-    metrics for the built-ins to see).  Exit :data:`EXIT_SLO` when any
-    objective is failing or has burned through its error budget.
+    ``--slo`` extras — against a running daemon's current registry.
+    ``--metrics FILE`` instead judges the ``<stem>.metrics.json`` export a
+    traced run writes, offline (``--slo`` is then required: a run export
+    has no service metrics for the built-ins to see).  Exit
+    :data:`EXIT_SLO` when any objective is failing.
     """
     import json
     from pathlib import Path
@@ -1186,13 +1134,13 @@ def _slo_command(argv: List[str]) -> int:
     parser.add_argument("--port", type=int, default=7414)
     parser.add_argument(
         "--metrics", default=None, metavar="PATH",
-        help="judge this --metrics JSON export instead of a live daemon",
+        help="judge this metrics export (a traced run's "
+        "<stem>.metrics.json) instead of a live daemon",
     )
     parser.add_argument(
         "--slo", action="append", default=None, metavar="SPEC",
         help="add an objective, e.g. 'p99_submit: "
-        "p99(service.submit.wall_us{kind=warm}) <= 500000 budget=0.1'; "
-        "repeatable",
+        "p99(service.submit.wall_us{kind=warm}) <= 500000'; repeatable",
     )
     parser.add_argument(
         "--json", action="store_true",
@@ -1212,21 +1160,14 @@ def _slo_command(argv: List[str]) -> int:
         except (OSError, ValueError) as exc:
             print(f"error: cannot read metrics: {exc}", file=sys.stderr)
             return EXIT_USAGE
-        if not isinstance(payload, dict):
+        metrics = payload.get("metrics") if isinstance(payload, dict) else None
+        if not isinstance(metrics, dict):
             print(
                 f"error: {args.metrics} is not a metrics export",
                 file=sys.stderr,
             )
             return EXIT_USAGE
-        history = payload.get("history")
-        samples = (
-            history.get("samples", []) if isinstance(history, dict) else []
-        )
         specs = extra
-        # a finish_run export nests the registry under "metrics"; a raw
-        # registry dump is the payload itself
-        nested = payload.get("metrics")
-        metrics = nested if isinstance(nested, dict) else payload
     else:
         from repro.service.client import ServiceClient, ServiceError
 
@@ -1234,7 +1175,6 @@ def _slo_command(argv: List[str]) -> int:
         try:
             health = client.healthz()
             metrics = client.metrics()
-            samples = client.history().get("samples") or []
         except ServiceError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
@@ -1249,7 +1189,7 @@ def _slo_command(argv: List[str]) -> int:
             int(health.get("max_queue", 256) or 256)
         ) + extra
 
-    statuses = slo_mod.evaluate(specs, metrics, samples)
+    statuses = slo_mod.evaluate(specs, metrics)
     if args.json:
         print(
             json.dumps(
@@ -1314,8 +1254,6 @@ def main(argv=None) -> int:
         return _serve_command(argv[1:])
     if argv and argv[0] == "submit":
         return _submit_command(argv[1:])
-    if argv and argv[0] == "top":
-        return _top_command(argv[1:])
     if argv and argv[0] == "slo":
         return _slo_command(argv[1:])
     if argv and argv[0] == "cache-info":
@@ -1333,7 +1271,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--accesses",
-        type=int,
+        type=_accesses,
         default=None,
         help="L3 accesses per core (default: REPRO_ACCESSES or 6000)",
     )
@@ -1409,7 +1347,8 @@ def main(argv=None) -> int:
         default=None,
         metavar="PATH",
         help="record a structured event trace (JSONL + Chrome trace_event "
-        "companion) for every simulation this command executes",
+        "companion + <stem>.metrics.json export) for every simulation "
+        "this command executes",
     )
     parser.add_argument(
         "--trace-every",
@@ -1417,13 +1356,6 @@ def main(argv=None) -> int:
         default=None,
         metavar="N",
         help="sample 1-in-N high-frequency trace events (default 1)",
-    )
-    parser.add_argument(
-        "--metrics",
-        default=None,
-        metavar="PATH",
-        help="export the per-run metrics registry as JSON "
-        "(implied next to --trace output when only --trace is given)",
     )
     parser.add_argument(
         "--profile",
@@ -1436,12 +1368,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.trace_every is not None and args.trace_every < 1:
         parser.error("--trace-every must be >= 1")
-    if args.trace or args.trace_every or args.metrics or args.profile:
+    if args.trace or args.trace_every or args.profile:
         import repro.obs as obs
 
         obs.configure(
-            trace=args.trace, every=args.trace_every, metrics=args.metrics,
-            profile=args.profile,
+            trace=args.trace, every=args.trace_every, profile=args.profile
         )
 
     if args.experiment == "list":

@@ -7,17 +7,19 @@ Three pillars (see DESIGN.md Sec 10):
   ``trace_event`` spans, sampled by ``--trace-every N`` / ``REPRO_TRACE_EVERY``;
 * :mod:`repro.obs.registry` — the unified metrics registry every layer
   (memory system, L4 designs, predictors, exec scheduler)
-  registers into, exported per run as ``metrics.json``;
+  registers into, exported per traced run as ``<stem>.metrics.json``;
 * :mod:`repro.obs.manifest` — run-provenance manifests stamped onto every
   :class:`~repro.sim.metrics.SimResult` and cache shard.
 
-This module owns the *ambient* configuration: the engine asks
-:func:`begin_run` for a per-run bundle (a real tracer when tracing is
-configured, the shared :data:`NULL_TRACER` otherwise — so untraced runs
-pay nothing), and :func:`finish_run` writes the trace, Chrome export and
-``metrics.json`` files.  With several runs in one process, output paths
-are uniquified (``trace.jsonl``, ``trace.2.jsonl``, …) so a campaign's
-traces never clobber each other.
+Two switches turn observability on: ``--trace`` / ``REPRO_TRACE`` (the
+event trace plus the metrics export beside it) and ``--profile`` /
+``REPRO_PROF`` (the self-profile).  This module owns that *ambient*
+configuration: the engine asks :func:`begin_run` for a per-run bundle (a
+real tracer when tracing is configured, the shared :data:`NULL_TRACER`
+otherwise — so untraced runs pay nothing), and :func:`finish_run` writes
+the trace, Chrome export and metrics files.  With several runs in one
+process, output paths are uniquified (``trace.jsonl``, ``trace.2.jsonl``,
+…) so a campaign's traces never clobber each other.
 """
 
 from __future__ import annotations
@@ -52,9 +54,6 @@ from repro.obs.registry import (
     parse_metric_key,
 )
 from repro.obs.telemetry import (
-    NULL_RECORDER,
-    NullRecorder,
-    TimeSeriesRecorder,
     TraceContext,
     render_prometheus,
     stitch_traces,
@@ -65,8 +64,6 @@ from repro.obs.tracer import (
     Tracer,
     format_summary,
     read_events,
-    read_rotated_events,
-    rotated_paths,
     summarize_trace,
 )
 
@@ -75,14 +72,11 @@ __all__ = [
     "Gauge",
     "MetricsRegistry",
     "NULL_PROFILER",
-    "NULL_RECORDER",
     "NULL_TRACER",
     "NullProfiler",
-    "NullRecorder",
     "NullTracer",
     "Profiler",
     "RunObservability",
-    "TimeSeriesRecorder",
     "TraceContext",
     "Tracer",
     "begin_run",
@@ -96,30 +90,24 @@ __all__ = [
     "instrument_iterator",
     "instrument_method",
     "metric_key",
-    "metrics_settings",
     "name_runs_as_parent",
     "parse_metric_key",
     "profile_settings",
     "read_events",
     "read_profile",
-    "read_rotated_events",
     "render_prometheus",
     "reset_configuration",
-    "rotated_paths",
     "stitch_traces",
     "summarize_trace",
     "top_frames",
-    "trace_max_bytes",
     "trace_settings",
-    "ts_settings",
 ]
 
 # ---------------------------------------------------------------------------
 # ambient configuration (set by the CLI, read by the engine)
 
 _explicit: Dict[str, Optional[object]] = {
-    "trace": None, "every": None, "metrics": None, "profile": None,
-    "ts_every": None,
+    "trace": None, "every": None, "profile": None,
 }
 _run_seq = itertools.count()
 _sole_worker = False
@@ -142,31 +130,22 @@ def name_runs_as_parent(offset: int) -> None:
 def configure(
     trace: Optional[str] = None,
     every: Optional[int] = None,
-    metrics: Optional[str] = None,
     profile: Optional[str] = None,
-    ts_every: Optional[int] = None,
 ) -> None:
     """Install explicit observability settings (the CLI's ``--trace`` /
-    ``--trace-every`` / ``--metrics`` / ``--profile`` / ``--ts-every``
-    flags); None leaves a knob as-is."""
+    ``--trace-every`` / ``--profile`` flags); None leaves a knob as-is."""
     if trace is not None:
         _explicit["trace"] = trace
     if every is not None:
         _explicit["every"] = int(every)
-    if metrics is not None:
-        _explicit["metrics"] = metrics
     if profile is not None:
         _explicit["profile"] = profile
-    if ts_every is not None:
-        _explicit["ts_every"] = int(ts_every)
 
 
 def reset_configuration() -> None:
     """Clear explicit settings and the output-path sequence (tests)."""
     global _run_seq
-    _explicit.update(
-        trace=None, every=None, metrics=None, profile=None, ts_every=None,
-    )
+    _explicit.update(trace=None, every=None, profile=None)
     _run_seq = itertools.count()
 
 
@@ -183,45 +162,9 @@ def trace_settings():
     return path, max(1, every)
 
 
-def metrics_settings() -> Optional[str]:
-    """Explicit ``--metrics`` path, else ``REPRO_METRICS``, else None."""
-    return _explicit["metrics"] or os.environ.get("REPRO_METRICS") or None
-
-
 def profile_settings() -> Optional[str]:
     """Explicit ``--profile`` path, else ``REPRO_PROF``, else None."""
     return _explicit["profile"] or os.environ.get("REPRO_PROF") or None
-
-
-def ts_settings() -> int:
-    """Time-series sampling cadence: a sample every N capacity windows.
-
-    Explicit ``--ts-every``, else ``REPRO_TS_EVERY``; 0 (the default)
-    disables the recorder entirely — runs then carry the shared
-    :data:`NULL_RECORDER` and pay nothing.
-    """
-    every = _explicit["ts_every"]
-    if every is None:
-        try:
-            every = int(os.environ.get("REPRO_TS_EVERY", "0"))
-        except ValueError:
-            every = 0
-    return max(0, every)
-
-
-def trace_max_bytes() -> Optional[int]:
-    """Trace-file size cap from ``REPRO_TRACE_MAX_MB`` (rotating mode),
-    or None for the default unbounded buffered mode."""
-    raw = os.environ.get("REPRO_TRACE_MAX_MB")
-    if not raw:
-        return None
-    try:
-        mb = float(raw)
-    except ValueError:
-        return None
-    if mb <= 0:
-        return None
-    return max(1024, int(mb * 1024 * 1024))
 
 
 def _uniquify(path_str: str, n: int) -> Path:
@@ -260,7 +203,6 @@ class RunObservability:
     metrics: MetricsRegistry = field(default_factory=MetricsRegistry)
     metrics_path: Optional[Path] = None
     profiler: object = NULL_PROFILER
-    recorder: object = NULL_RECORDER
 
     @classmethod
     def disabled(cls) -> "RunObservability":
@@ -270,9 +212,9 @@ class RunObservability:
 def begin_run(label: str) -> RunObservability:
     """The observability bundle for one run about to start.
 
-    Returns a disabled bundle (null tracer/profiler/recorder, fresh
-    registry, no output paths) unless tracing, metrics export, time-
-    series sampling, or profiling is configured.  When an ambient
+    Returns a disabled bundle (null tracer and profiler, fresh registry,
+    no output paths) unless tracing or profiling is configured.  A traced
+    run exports its metrics registry beside the trace.  When an ambient
     :class:`~repro.obs.telemetry.TraceContext` is active (a pool worker
     executing a traced service job), this run's place in the
     distributed trace is stamped into the tracer's file meta so
@@ -281,48 +223,28 @@ def begin_run(label: str) -> RunObservability:
     from repro.obs import telemetry
 
     trace_path, every = trace_settings()
-    metrics_path = metrics_settings()
     profile_path = profile_settings()
-    ts_every = ts_settings()
-    if (
-        trace_path is None and metrics_path is None
-        and profile_path is None and ts_every == 0
-    ):
+    if trace_path is None and profile_path is None:
         return RunObservability()
     n = next(_run_seq)
-    meta: Dict[str, object] = {"run": label}
-    ctx = telemetry.current()
-    if ctx is not None:
-        meta.update(ctx.child().to_meta())
-    tracer = (
-        Tracer(
-            _uniquify(trace_path, n), every=every, meta=meta,
-            max_bytes=trace_max_bytes(),
-        )
-        if trace_path is not None
-        else NULL_TRACER
-    )
     profiler = (
         Profiler(_uniquify(profile_path, n), meta={"run": label})
         if profile_path is not None
         else NULL_PROFILER
     )
-    if metrics_path is not None:
-        out = _uniquify(metrics_path, n)
-    elif trace_path is not None:
-        base = tracer.path
-        name = f"{base.stem}.metrics.json" if base.suffix == ".jsonl" else (
-            base.name + ".metrics.json"
-        )
-        out = base.with_name(name)
-    else:
-        out = None  # profiling/sampling alone implies no metrics export
-    recorder = (
-        TimeSeriesRecorder(every=ts_every) if ts_every > 0 else NULL_RECORDER
+    if trace_path is None:
+        return RunObservability(profiler=profiler)
+    meta: Dict[str, object] = {"run": label}
+    ctx = telemetry.current()
+    if ctx is not None:
+        meta.update(ctx.child().to_meta())
+    tracer = Tracer(_uniquify(trace_path, n), every=every, meta=meta)
+    base = tracer.path
+    name = f"{base.stem}.metrics.json" if base.suffix == ".jsonl" else (
+        base.name + ".metrics.json"
     )
     return RunObservability(
-        tracer=tracer, metrics=MetricsRegistry(), metrics_path=out,
-        profiler=profiler, recorder=recorder,
+        tracer=tracer, metrics_path=base.with_name(name), profiler=profiler
     )
 
 
@@ -335,8 +257,6 @@ def finish_run(
             "manifest": manifest,
             "metrics": obs.metrics.to_dict(),
         }
-        if obs.recorder.enabled:
-            payload["history"] = obs.recorder.to_dict()
         obs.metrics_path.parent.mkdir(parents=True, exist_ok=True)
         obs.metrics_path.write_text(json.dumps(payload, indent=1))
     obs.tracer.close()

@@ -226,28 +226,6 @@ class MetricsRegistry:
 
     # -- export --------------------------------------------------------------
 
-    def sample(self, collect: bool = True) -> Dict[str, object]:
-        """A light point-in-time snapshot for the time-series recorder.
-
-        Counters and gauges by value; histograms as a quantile summary
-        (count/p50/p95/p99) rather than full bucket arrays, so a
-        512-deep ring of samples stays small.  Trackers are windowed
-        time series already and are skipped.
-        """
-        if collect:
-            self.collect()
-        counters: Dict[str, int] = {}
-        gauges: Dict[str, float] = {}
-        quantiles: Dict[str, Dict[str, int]] = {}
-        for key, metric in self._metrics.items():
-            if isinstance(metric, Counter):
-                counters[key] = metric.value
-            elif isinstance(metric, Gauge):
-                gauges[key] = metric.value
-            elif isinstance(metric, LatencyHistogram) and metric.total:
-                quantiles[key] = {"count": metric.total, **metric.quantiles()}
-        return {"counters": counters, "gauges": gauges, "quantiles": quantiles}
-
     def to_dict(self, collect: bool = True) -> Dict[str, Dict[str, object]]:
         """The ``metrics.json`` payload, grouped by instrument kind."""
         if collect:

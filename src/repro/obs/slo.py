@@ -1,32 +1,24 @@
-"""Declarative SLOs evaluated against metrics + their time series.
+"""Declarative SLOs evaluated against the current metrics.
 
-An SLO is one line of text (CLI ``--slo``, ``REPRO_SLO``, or the
-built-in defaults)::
+An SLO is one line of text (CLI ``--slo`` or the built-in defaults)::
 
-    <name>: <fn>(<metric-expr>) <=|>= <threshold> [budget=<frac>]
+    <name>: <fn>(<metric-expr>) <=|>= <threshold>
 
-where ``fn`` is one of ``p50 p95 p99 max min last sum ratio`` and a
-metric-expr is a label-qualified registry key (``metric_key`` form,
-e.g. ``service.submit.wall_us{kind=warm}``).  ``sum``/``ratio`` accept
+where ``fn`` is one of ``p50 p95 p99 last sum ratio`` and a metric-expr
+is a label-qualified registry key (``metric_key`` form, e.g.
+``service.submit.wall_us{kind=warm}``).  ``sum``/``ratio`` accept
 ``+``-joined counter keys; ``ratio`` takes two comma-separated
 arguments (numerator, denominator).  Examples, which are also the
 default service SLOs::
 
-    warm_submit_p99_us: p99(service.submit.wall_us{kind=warm}) <= 500000 budget=0.1
-    queue_depth: max(service.queue.depth) <= 256 budget=0.25
+    warm_submit_p99_us: p99(service.submit.wall_us{kind=warm}) <= 500000
+    queue_depth: last(service.queue.depth) <= 256
     dedupe_hit_rate: ratio(service.jobs.cached+service.jobs.deduped, service.jobs.total) >= 0.05
     crash_budget: sum(service.supervisor.pool_rebuilds) <= 2
 
-Evaluation has two parts:
-
-* **current value** against the latest metrics payload (the registry's
-  ``to_dict()`` — so offline ``cli slo check --metrics file.json``
-  works on the same code path as the live daemon);
-* **burn rate** against the time-series history: the fraction of ring
-  samples violating the threshold, divided by the error ``budget``
-  (the tolerated violating fraction, default 1.0 — i.e. history is
-  advisory unless a spec opts into a budget).  Burn > 1.0 fails the
-  SLO even when the instantaneous value looks healthy.
+Each spec's value is read from one metrics payload (the registry's
+``to_dict()``), so offline ``cli slo check --metrics file.json`` works
+on the same code path as the live daemon.
 
 Specs whose metric has no data yet are *skipped* (``ok is None``), not
 failed — a fresh daemon must be healthy by default.
@@ -42,11 +34,10 @@ from repro.sim.stats import LatencyHistogram
 
 _SPEC = re.compile(
     r"^\s*(?P<name>[\w.-]+)\s*:\s*"
-    r"(?P<fn>p50|p95|p99|max|min|last|sum|ratio)\s*"
+    r"(?P<fn>p50|p95|p99|last|sum|ratio)\s*"
     r"\((?P<args>[^)]*)\)\s*"
     r"(?P<op><=|>=)\s*"
-    r"(?P<threshold>[-+]?[0-9]*\.?[0-9]+(?:[eE][-+]?[0-9]+)?)"
-    r"(?:\s+budget\s*=\s*(?P<budget>[0-9]*\.?[0-9]+))?\s*$"
+    r"(?P<threshold>[-+]?[0-9]*\.?[0-9]+(?:[eE][-+]?[0-9]+)?)\s*$"
 )
 
 _QUANTILE_FNS = {"p50": 50.0, "p95": 95.0, "p99": 99.0}
@@ -65,32 +56,23 @@ class SLOSpec:
     metrics: tuple  # one expr, or (numerator, denominator) for ratio
     op: str
     threshold: float
-    budget: float = 1.0
 
     def describe(self) -> str:
         args = ", ".join(self.metrics)
-        text = f"{self.name}: {self.fn}({args}) {self.op} {self.threshold:g}"
-        if self.budget != 1.0:
-            text += f" budget={self.budget:g}"
-        return text
+        return f"{self.name}: {self.fn}({args}) {self.op} {self.threshold:g}"
 
 
 @dataclass
 class SLOStatus:
-    """The verdict on one spec: instantaneous value + history burn."""
+    """The verdict on one spec: its current value against the threshold."""
 
     spec: SLOSpec
     value: Optional[float] = None
     ok: Optional[bool] = None  # None: no data yet — skipped, not failed
-    burn_rate: Optional[float] = None
-    window: int = 0
-    violations: int = 0
 
     @property
     def failed(self) -> bool:
-        if self.ok is False:
-            return True
-        return self.burn_rate is not None and self.burn_rate > 1.0
+        return self.ok is False
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -100,9 +82,6 @@ class SLOStatus:
             "threshold": self.spec.threshold,
             "op": self.spec.op,
             "ok": self.ok,
-            "burn_rate": self.burn_rate,
-            "window": self.window,
-            "violations": self.violations,
             "failed": self.failed,
         }
 
@@ -134,7 +113,7 @@ def parse_slo(text: str) -> SLOSpec:
     if not match:
         raise SLOParseError(
             f"bad SLO spec {text!r} — expected "
-            f"'<name>: <fn>(<metric>) <=|>= <threshold> [budget=<frac>]'"
+            f"'<name>: <fn>(<metric>) <=|>= <threshold>'"
         )
     fn = match.group("fn")
     args = _split_args(match.group("args"))
@@ -148,18 +127,12 @@ def parse_slo(text: str) -> SLOSpec:
         raise SLOParseError(
             f"bad SLO spec {text!r} — {fn}() takes exactly one metric"
         )
-    budget = float(match.group("budget")) if match.group("budget") else 1.0
-    if not 0.0 < budget <= 1.0:
-        raise SLOParseError(
-            f"bad SLO spec {text!r} — budget must be in (0, 1]"
-        )
     return SLOSpec(
         name=match.group("name"),
         fn=fn,
         metrics=tuple(args),
         op=match.group("op"),
         threshold=float(match.group("threshold")),
-        budget=budget,
     )
 
 
@@ -171,8 +144,8 @@ def default_service_slos(max_queue: int = 256) -> List[SLOSpec]:
     """The built-in daemon objectives (see module docstring)."""
     return parse_slos([
         "warm_submit_p99_us: p99(service.submit.wall_us{kind=warm})"
-        " <= 500000 budget=0.1",
-        f"queue_depth: max(service.queue.depth) <= {max_queue} budget=0.25",
+        " <= 500000",
+        f"queue_depth: last(service.queue.depth) <= {max_queue}",
         "dedupe_hit_rate: ratio(service.jobs.cached+service.jobs.deduped,"
         " service.jobs.total) >= 0.05",
         "crash_budget: sum(service.supervisor.pool_rebuilds) <= 2",
@@ -214,34 +187,7 @@ def _payload_value(
         return _counter_sum(counters, expr) / denom
     if spec.fn == "sum":
         return _counter_sum(counters, expr)
-    # max/min/last over a single gauge or counter's current value
-    if expr in gauges:
-        return float(gauges[expr])
-    if expr in counters:
-        return float(counters[expr])
-    return None
-
-
-def _sample_value(sample: Dict[str, object], spec: SLOSpec) -> Optional[float]:
-    """The spec's value at one ring-buffer sample (``registry.sample()``
-    shape: counters/gauges by value, histograms as quantile dicts)."""
-    counters = sample.get("counters", {}) or {}
-    gauges = sample.get("gauges", {}) or {}
-    quantiles = sample.get("quantiles", {}) or {}
-    expr = spec.metrics[0]
-    if spec.fn in _QUANTILE_FNS:
-        summary = quantiles.get(expr)
-        if not summary:
-            return None
-        value = summary.get(spec.fn)
-        return float(value) if value is not None else None
-    if spec.fn == "ratio":
-        denom = _counter_sum(counters, spec.metrics[1])
-        if denom <= 0:
-            return None
-        return _counter_sum(counters, expr) / denom
-    if spec.fn == "sum":
-        return _counter_sum(counters, expr)
+    # last: a single gauge or counter's current value
     if expr in gauges:
         return float(gauges[expr])
     if expr in counters:
@@ -254,41 +200,14 @@ def _meets(value: float, spec: SLOSpec) -> bool:
 
 
 def evaluate(
-    specs: Sequence[SLOSpec],
-    metrics: Dict[str, object],
-    history: Optional[Sequence[Dict[str, object]]] = None,
+    specs: Sequence[SLOSpec], metrics: Dict[str, object]
 ) -> List[SLOStatus]:
-    """Judge every spec against the metrics payload + optional history.
-
-    ``max``/``min`` range over the history when one exists (that is
-    their point); every fn falls back to the instantaneous value on an
-    empty ring so a daemon without time-series sampling still gets
-    current-value SLOs.
-    """
-    history = list(history or [])
+    """Judge every spec against one metrics payload."""
     statuses: List[SLOStatus] = []
     for spec in specs:
-        status = SLOStatus(spec=spec)
-        series = [
-            v for v in (_sample_value(s, spec) for s in history)
-            if v is not None
-        ]
-        if spec.fn == "max" and series:
-            status.value = max(series)
-        elif spec.fn == "min" and series:
-            status.value = min(series)
-        else:
-            status.value = _payload_value(metrics, spec)
-            if status.value is None and series:
-                status.value = series[-1]
+        status = SLOStatus(spec=spec, value=_payload_value(metrics, spec))
         if status.value is not None:
             status.ok = _meets(status.value, spec)
-        if series:
-            status.window = len(series)
-            status.violations = sum(1 for v in series if not _meets(v, spec))
-            status.burn_rate = (
-                status.violations / status.window
-            ) / spec.budget
         statuses.append(status)
     return statuses
 
@@ -300,24 +219,16 @@ def healthy(statuses: Sequence[SLOStatus]) -> bool:
 
 def format_statuses(statuses: Sequence[SLOStatus]) -> str:
     """Fixed-width table for ``cli slo check`` / the flight recorder."""
-    lines = [
-        f"{'SLO':28s} {'value':>12s} {'target':>14s} "
-        f"{'burn':>6s} {'verdict':s}"
-    ]
+    lines = [f"{'SLO':28s} {'value':>12s} {'target':>14s} {'verdict':s}"]
     for status in statuses:
         spec = status.spec
         value = "-" if status.value is None else f"{status.value:.6g}"
         target = f"{spec.op} {spec.threshold:g}"
-        burn = "-" if status.burn_rate is None else f"{status.burn_rate:.2f}"
         if status.ok is None:
             verdict = "SKIP (no data)"
         elif status.failed:
             verdict = "FAIL"
-            if status.ok and status.burn_rate is not None:
-                verdict = f"FAIL (burn {status.burn_rate:.2f} > 1)"
         else:
             verdict = "ok"
-        lines.append(
-            f"{spec.name:28s} {value:>12s} {target:>14s} {burn:>6s} {verdict}"
-        )
+        lines.append(f"{spec.name:28s} {value:>12s} {target:>14s} {verdict}")
     return "\n".join(lines)

@@ -1,7 +1,7 @@
-"""Cross-process telemetry: trace propagation, time series, Prometheus.
+"""Cross-process telemetry: trace propagation and Prometheus exposition.
 
-Three pieces that turn the single-process observability stack (PR 3)
-into a service-era telemetry plane:
+Two pieces that turn the single-process observability stack into a
+service-era telemetry plane:
 
 * **Trace propagation** — :class:`TraceContext` is the identity of one
   distributed trace: a 16-hex ``trace_id`` shared by every participant
@@ -13,15 +13,6 @@ into a service-era telemetry plane:
   ``job.execute()`` so the sim tracer's file meta records its place in
   the tree.  :func:`stitch_traces` later merges the per-process JSONL
   files back into one chrome://tracing document on ``trace_id``.
-
-* **Time-series metrics** — :class:`TimeSeriesRecorder` snapshots a
-  :class:`~repro.obs.registry.MetricsRegistry` into a bounded ring
-  buffer.  Cadence is *deterministic*: the sim engine ticks it on the
-  capacity-sample boundary (simulated cycles as the timestamp), the
-  daemon ticks it per submit/finalize event — no wall-clock reads ever
-  happen on the bit-identity path.  The disabled recorder is the shared
-  :data:`NULL_RECORDER` singleton, guarded exactly like
-  :data:`~repro.obs.tracer.NULL_TRACER`.
 
 * **Prometheus exposition** — :func:`render_prometheus` renders a
   registry in the text exposition format (``# TYPE`` lines, escaped
@@ -130,85 +121,6 @@ def activate(ctx: Optional[TraceContext]):
         yield ctx
     finally:
         _current = previous
-
-
-# ---------------------------------------------------------------------------
-# time-series recorder
-
-
-class NullRecorder:
-    """The disabled recorder: every operation is a no-op.
-
-    Call sites guard with ``if recorder.enabled:`` before building any
-    arguments — the counter-guard test asserts these methods are never
-    reached during an untelemetered run.
-    """
-
-    enabled = False
-
-    def tick(self, registry, ts: Optional[int] = None) -> None:
-        pass
-
-    def sample(self, registry, ts: Optional[int] = None) -> None:
-        pass
-
-    def samples(self) -> List[dict]:
-        return []
-
-    def to_dict(self) -> Dict[str, object]:
-        return {"every": 0, "ticks": 0, "samples": []}
-
-
-NULL_RECORDER = NullRecorder()
-"""Shared disabled recorder; identity-checked by the overhead guard test."""
-
-
-class TimeSeriesRecorder:
-    """Bounded ring buffer of registry snapshots on an event-count cadence.
-
-    ``tick()`` is the cheap call sprinkled on event boundaries (capacity
-    samples in the engine, submits/finalizes in the daemon); one in
-    ``every`` ticks takes an actual sample.  Timestamps are caller-
-    provided (simulated cycles, daemon event counts) — this class never
-    reads a wall clock, so enabling it cannot perturb bit-identity.
-    """
-
-    enabled = True
-
-    def __init__(self, capacity: int = 512, every: int = 1) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        if every < 1:
-            raise ValueError("every must be >= 1")
-        self.capacity = capacity
-        self.every = every
-        self.ticks = 0
-        self._samples: List[dict] = []
-
-    def tick(self, registry: MetricsRegistry, ts: Optional[int] = None) -> None:
-        """Count one event boundary; sample the registry every Nth."""
-        self.ticks += 1
-        if (self.ticks - 1) % self.every == 0:
-            self.sample(registry, ts)
-
-    def sample(self, registry: MetricsRegistry, ts: Optional[int] = None) -> None:
-        """Unconditionally snapshot the registry into the ring."""
-        snap = registry.sample()
-        snap["ts"] = self.ticks if ts is None else ts
-        self._samples.append(snap)
-        if len(self._samples) > self.capacity:
-            # drop the oldest; amortized O(1) by trimming in blocks
-            del self._samples[: len(self._samples) - self.capacity]
-
-    def samples(self) -> List[dict]:
-        return list(self._samples)
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "every": self.every,
-            "ticks": self.ticks,
-            "samples": self.samples(),
-        }
 
 
 # ---------------------------------------------------------------------------

@@ -60,9 +60,6 @@ class NullTracer:
     ) -> None:
         pass
 
-    def flush(self) -> None:
-        pass
-
     def close(self) -> List[Path]:
         return []
 
@@ -74,19 +71,10 @@ NULL_TRACER = NullTracer()
 class Tracer:
     """Buffering JSONL event tracer with per-category sampling.
 
-    With ``max_bytes`` set (``REPRO_TRACE_MAX_MB``), the tracer runs in
-    *rotating* mode: events flush incrementally (every
-    :data:`FLUSH_THRESHOLD` buffered, or on explicit :meth:`flush`),
-    and when the current file would exceed the cap it rolls to
-    ``path.1`` → ``path.2`` (keeping :attr:`keep` rotated segments), so
-    a long-lived daemon with ``--trace`` cannot fill the disk.  Each
-    segment restates the meta line, and :func:`read_rotated_events`
-    reads the whole set back oldest-first.
+    Events stay in memory until :meth:`close` writes them in one pass.
     """
 
     enabled = True
-
-    FLUSH_THRESHOLD = 4096  # buffered events before an automatic flush
 
     def __init__(
         self,
@@ -94,13 +82,9 @@ class Tracer:
         *,
         every: int = 1,
         meta: Optional[Dict[str, object]] = None,
-        max_bytes: Optional[int] = None,
-        keep: int = 2,
     ) -> None:
         if every < 1:
             raise ValueError("every must be >= 1")
-        if max_bytes is not None and max_bytes < 1024:
-            raise ValueError("max_bytes must be >= 1024")
         self.path = Path(path)
         self.every = every
         self.meta: Dict[str, object] = dict(meta or {})
@@ -109,10 +93,6 @@ class Tracer:
         self.events: List[dict] = []
         self.emitted = 0
         self.sampled_out = 0
-        self.max_bytes = max_bytes
-        self.keep = keep
-        self.rotations = 0
-        self._file_bytes = 0
         self._sample_counts: Dict[str, int] = {}
 
     # -- emission -------------------------------------------------------------
@@ -140,8 +120,6 @@ class Tracer:
             {"name": name, "cat": cat, "ph": "i", "ts": ts,
              "phase": self.phase, "args": args}
         )
-        if self.max_bytes is not None and len(self.events) >= self.FLUSH_THRESHOLD:
-            self.flush()
 
     def span(
         self, name: str, cat: str, ts: int, dur: int, sampled: bool = False, **args
@@ -153,61 +131,6 @@ class Tracer:
             {"name": name, "cat": cat, "ph": "X", "ts": ts, "dur": dur,
              "phase": self.phase, "args": args}
         )
-        if self.max_bytes is not None and len(self.events) >= self.FLUSH_THRESHOLD:
-            self.flush()
-
-    # -- rotation (size-capped mode) ------------------------------------------
-
-    def _meta_line(self) -> str:
-        return json.dumps({"meta": {
-            **self.meta, "sampling_every": self.every,
-            "rotating": True, "rotations": self.rotations,
-        }}) + "\n"
-
-    def _rotate(self) -> None:
-        """Roll the current segment: path → path.1 → … → path.keep."""
-        oldest = Path(f"{self.path}.{self.keep}")
-        if oldest.exists():
-            oldest.unlink()
-        for n in range(self.keep - 1, 0, -1):
-            segment = Path(f"{self.path}.{n}")
-            if segment.exists():
-                segment.rename(f"{self.path}.{n + 1}")
-        if self.path.exists():
-            self.path.rename(f"{self.path}.1")
-        self.rotations += 1
-        self._file_bytes = 0
-
-    def flush(self) -> None:
-        """Append buffered events to disk (rotating mode only).
-
-        In the default buffered mode :meth:`close` writes everything at
-        once and ``flush`` is a no-op — keeping the single-run fast
-        path a single write.
-        """
-        if self.max_bytes is None or not self.events:
-            return
-        pending, self.events = self.events, []
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        handle = open(self.path, "a")
-        try:
-            if self._file_bytes == 0:
-                meta = self._meta_line()
-                handle.write(meta)
-                self._file_bytes += len(meta)
-            for event in pending:
-                line = json.dumps(event) + "\n"
-                if self._file_bytes + len(line) > self.max_bytes:
-                    handle.close()
-                    self._rotate()
-                    handle = open(self.path, "a")
-                    meta = self._meta_line()
-                    handle.write(meta)
-                    self._file_bytes += len(meta)
-                handle.write(line)
-                self._file_bytes += len(line)
-        finally:
-            handle.close()
 
     # -- output ---------------------------------------------------------------
 
@@ -249,20 +172,6 @@ class Tracer:
     def close(self) -> List[Path]:
         """Write the JSONL stream and its Chrome companion; returns paths."""
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        if self.max_bytes is not None:
-            # rotating mode: segments are already on disk; flush the tail
-            # and rebuild the Chrome view from whatever survived rotation.
-            self.flush()
-            if self._file_bytes == 0:  # no event ever flushed: meta only
-                self.path.write_text(self._meta_line())
-            kept = self.events
-            try:
-                self.events = read_rotated_events(self.path)
-                chrome = self.chrome_path()
-                chrome.write_text(json.dumps(self.to_chrome()))
-            finally:
-                self.events = kept
-            return [self.path, chrome]
         with open(self.path, "w") as handle:
             handle.write(json.dumps({"meta": {
                 **self.meta, "sampling_every": self.every,
@@ -309,42 +218,6 @@ def read_events(path) -> List[dict]:
     return events
 
 
-def rotated_paths(path) -> List[Path]:
-    """Every segment of a (possibly rotated) trace set, oldest first:
-    ``[path.N, …, path.1, path]``.  A never-rotated trace is just
-    ``[path]``."""
-    path = Path(path)
-    rotated = []
-    n = 1
-    while True:
-        segment = Path(f"{path}.{n}")
-        if not segment.exists():
-            break
-        rotated.append(segment)
-        n += 1
-    return list(reversed(rotated)) + [path]
-
-
-def read_rotated_events(path) -> List[dict]:
-    """:func:`read_events` over the whole rotated set, oldest first.
-
-    Segments that vanish mid-read (a live daemon rotating under us) are
-    skipped rather than fatal — but a set where *nothing* could be read
-    raises, so a mistyped path stays a loud error.
-    """
-    events: List[dict] = []
-    read_any = False
-    for segment in rotated_paths(path):
-        try:
-            events.extend(read_events(segment))
-            read_any = True
-        except FileNotFoundError:
-            continue
-    if not read_any:
-        raise FileNotFoundError(f"no trace file at {path}")
-    return events
-
-
 def _exec_sections(by_name: Dict[str, int]) -> Optional[Dict[str, Dict[str, int]]]:
     """Job-lifecycle and supervisor-incident rollups for exec traces.
 
@@ -378,7 +251,7 @@ def summarize_trace(path) -> Dict[str, object]:
     :class:`~repro.sim.metrics.SimResult`."""
     from repro.sim.stats import LatencyHistogram
 
-    events = read_rotated_events(path)
+    events = read_events(path)
     by_name: Dict[str, int] = {}
     by_phase: Dict[str, int] = {}
     l4: Dict[str, Dict[str, int]] = {}
@@ -396,7 +269,6 @@ def summarize_trace(path) -> Dict[str, object]:
             )
     summary: Dict[str, object] = {
         "events": len(events),
-        "segments": len(rotated_paths(path)),
         "by_name": dict(sorted(by_name.items())),
         "by_phase": dict(sorted(by_phase.items())),
         "l4_reads": l4,
@@ -414,8 +286,6 @@ def summarize_trace(path) -> Dict[str, object]:
 def format_summary(summary: Dict[str, object]) -> str:
     """Human rendering of :func:`summarize_trace` for the CLI."""
     lines = [f"events: {summary['events']}"]
-    if summary.get("segments", 1) > 1:
-        lines[0] += f" (across {summary['segments']} rotated segments)"
     lines.append("by name:")
     for name, count in summary["by_name"].items():
         lines.append(f"  {name:24s} {count}")

@@ -95,12 +95,8 @@ class ServiceClient:
         finally:
             conn.close()
 
-    def history(self) -> Dict[str, object]:
-        """``GET /metrics/history`` — the daemon's time-series ring."""
-        return self._request("GET", "/metrics/history")
-
     def slo(self) -> Dict[str, object]:
-        """``GET /slo`` — every objective's verdict and burn rate."""
+        """``GET /slo`` — every objective's verdict."""
         return self._request("GET", "/slo")
 
     def submit(

@@ -95,7 +95,6 @@ class ServiceConfig:
     resume: bool = True
     promote: bool = True  # promote the shard store into the content store
     slos: Optional[List[str]] = None  # extra SLO specs beyond the defaults
-    history_capacity: int = 512  # time-series ring-buffer depth
 
 
 class SimService:
@@ -158,10 +157,7 @@ class SimService:
         self._h_submit_cold = self.registry.histogram(
             "service.submit.wall_us", kind="cold"
         )
-        # telemetry plane: time-series ring, SLOs, the daemon's own tracer
-        self.history = telemetry.TimeSeriesRecorder(
-            capacity=self.config.history_capacity
-        )
+        # telemetry plane: SLOs and the daemon's own tracer
         self.slos = slo_mod.default_service_slos(self.config.max_queue)
         for text in self.config.slos or []:
             self.slos.append(slo_mod.parse_slo(text))
@@ -170,19 +166,15 @@ class SimService:
     def _daemon_tracer(self):
         """A long-lived tracer for daemon-side spans (campaign/queue/run),
         written next to the configured trace path as ``<stem>.daemon.jsonl``
-        — or the shared null tracer when tracing is off.  Size-capped
-        rotation (``REPRO_TRACE_MAX_MB``) keeps a forever-running daemon
-        from filling the disk."""
+        when the daemon stops — or the shared null tracer when tracing is
+        off."""
         trace_path, every = obs.trace_settings()
         if trace_path is None:
             return obs.NULL_TRACER
         base = Path(trace_path)
         suffix = base.suffix if base.suffix else ".jsonl"
         path = base.with_name(f"{base.stem}.daemon{suffix}")
-        return obs.Tracer(
-            path, every=every, meta={"scope": "daemon"},
-            max_bytes=obs.trace_max_bytes(),
-        )
+        return obs.Tracer(path, every=every, meta={"scope": "daemon"})
 
     def _now_us(self) -> int:
         """Microseconds since daemon start: the daemon trace timebase."""
@@ -493,7 +485,7 @@ class SimService:
         self._g_queue.set(sum(len(q) for q in self._queues.values()))
         self._g_inflight.set(len(self._runs))
         self._g_active.set(self._active)
-        # per-client depth (fairness visibility for `cli top`); client
+        # per-client depth (fairness visibility in GET /metrics); client
         # names are label values, so escaping is the registry's problem
         for client, queue in self._queues.items():
             self.registry.gauge(
@@ -587,8 +579,6 @@ class SimService:
                 span_id=job.trace.span_id,
                 parent_id=job.trace.parent_id,
             )
-            self.tracer.flush()
-        self.history.tick(self.registry)
         if result is not None and error is None:
             runner_mod.seed_cache(
                 job.workload, job.config_name, result,
@@ -679,7 +669,6 @@ class SimService:
                 span_id=campaign.trace.span_id,
                 parent_id=campaign.trace.parent_id,
             )
-            self.tracer.flush()
         self._publish_gauges()
         snapshot = campaign.snapshot()
         await campaign.emit(
@@ -766,8 +755,6 @@ class SimService:
                 )
             else:
                 writer.write(json_response(200, self.registry.to_dict()))
-        elif method == "GET" and path == "/metrics/history":
-            writer.write(json_response(200, self.history.to_dict()))
         elif method == "GET" and path == "/slo":
             writer.write(json_response(200, self._slo_payload()))
         elif method == "POST" and path == "/campaigns":
@@ -825,7 +812,6 @@ class SimService:
             self._h_submit_warm.record(wall_us)
         else:
             self._h_submit_cold.record(wall_us)
-        self.history.tick(self.registry)
         writer.write(
             json_response(
                 202,
@@ -847,8 +833,17 @@ class SimService:
         from repro.harness.experiments import EXPERIMENTS
         from repro.harness.runner import DEFAULT_ACCESSES
 
+        raw_accesses = payload.get("accesses")
+        try:
+            accesses = (
+                DEFAULT_ACCESSES if raw_accesses is None else int(raw_accesses)
+            )
+        except (TypeError, ValueError) as exc:
+            raise HttpError(400, f"malformed accesses: {exc}")
+        if accesses < 1:
+            raise HttpError(400, f"accesses must be >= 1, got {accesses}")
         defaults = {
-            "accesses": payload.get("accesses") or DEFAULT_ACCESSES,
+            "accesses": accesses,
             "seed": payload.get("seed", SimulationParams().seed),
             "fault_rate": payload.get("fault_rate", 0.0),
             "ecc": payload.get("ecc", "secded"),
@@ -872,7 +867,7 @@ class SimService:
                 )
             try:
                 params = SimulationParams(
-                    accesses_per_core=int(defaults["accesses"]),
+                    accesses_per_core=accesses,
                     seed=int(defaults["seed"]),
                     fault_rate=float(defaults["fault_rate"]),
                     ecc=str(defaults["ecc"]),
@@ -980,10 +975,8 @@ class SimService:
     # -- introspection -------------------------------------------------------
 
     def _slo_payload(self) -> Dict[str, object]:
-        """Every SLO judged against the live registry + history ring."""
-        statuses = slo_mod.evaluate(
-            self.slos, self.registry.to_dict(), self.history.samples()
-        )
+        """Every SLO judged against the live registry."""
+        statuses = slo_mod.evaluate(self.slos, self.registry.to_dict())
         return {
             "ok": slo_mod.healthy(statuses),
             "results": [status.to_dict() for status in statuses],

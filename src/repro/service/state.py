@@ -65,9 +65,11 @@ def job_to_spec(job: Job) -> Dict[str, object]:
 def job_from_spec(spec: Dict[str, object]) -> Job:
     """Rebuild a job; raises ``ValueError`` on a malformed spec.
 
-    The config is resolved here, so an unknown name or a scale below 1
-    is rejected before a campaign is registered, not inside the key
-    lookup of a half-admitted one.
+    The workload and config names are resolved here, so an unknown name,
+    a scale below 1 or fewer than 1 access per core is rejected before a
+    campaign is registered, not inside a worker or the key lookup of a
+    half-admitted one.  Only an absent (or null) ``accesses`` means the
+    default.
     """
     if not isinstance(spec, dict):
         raise ValueError(f"job spec is {type(spec).__name__}, not an object")
@@ -79,9 +81,17 @@ def job_from_spec(spec: Dict[str, object]) -> Job:
         DEFAULT_SCALE,
         named_config_digest,
     )
+    from repro.workloads.registry import ALL26, NON_INTENSIVE
 
+    known = (*ALL26, *NON_INTENSIVE)  # every profile and every mix
+    if spec["workload"] not in known:
+        raise ValueError(
+            f"unknown workload {spec['workload']!r}; "
+            f"known: {', '.join(sorted(known))}"
+        )
     try:
-        accesses = int(spec.get("accesses") or DEFAULT_ACCESSES)
+        accesses = spec.get("accesses")
+        accesses = DEFAULT_ACCESSES if accesses is None else int(accesses)
         params = SimulationParams(
             accesses_per_core=accesses,
             warmup_fraction=float(
@@ -99,6 +109,8 @@ def job_from_spec(spec: Dict[str, object]) -> Job:
         rep = int(spec.get("rep", 0))
     except (TypeError, ValueError) as exc:
         raise ValueError(f"malformed job spec scale or rep: {exc}") from exc
+    if accesses < 1:
+        raise ValueError(f"job spec accesses must be >= 1, got {accesses}")
     if scale < 1:
         raise ValueError(f"job spec scale must be >= 1, got {scale}")
     if rep < 0:

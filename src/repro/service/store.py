@@ -123,7 +123,7 @@ class ContentStore:
         self.root = Path(root)
         self.objects = self.root / "objects"
         self.refs = self.root / "refs"
-        # per-process read accounting (``cli top`` renders the hit rate);
+        # per-process read accounting (``/healthz`` reports it);
         # never persisted — a restarted process starts its window fresh
         self.get_hits = 0
         self.get_misses = 0

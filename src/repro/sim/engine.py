@@ -121,7 +121,6 @@ def run_workload(
     run_obs = obs.begin_run(f"{workload}x{config.name}")
     tracer = run_obs.tracer
     prof = run_obs.profiler
-    recorder = run_obs.recorder
     started = time.perf_counter()
     if prof.enabled:
         prof.enter("sim")
@@ -187,7 +186,7 @@ def run_workload(
     reset_cycle = 0
 
     while heap:
-        now, core = heapq.heappop(heap)
+        _, core = heapq.heappop(heap)
         i = idxs[core]
         if i >= chunk:
             bufs[core] = next(chunk_iters[core])
@@ -206,11 +205,6 @@ def run_workload(
             if accesses_since_sample >= sample_every:
                 capacity_samples.append(system.l4.valid_line_count())
                 accesses_since_sample = 0
-                # Time-series sampling shares the capacity-sample cadence
-                # (simulated cycles as the timestamp): deterministic, no
-                # wall-clock reads, zero added per-access work when off.
-                if recorder.enabled:
-                    recorder.tick(system.metrics, ts=int(now))
 
         if warm_times[core] is None and served[core] >= warmups[core]:
             warm_times[core] = times[core]

@@ -98,6 +98,15 @@ def test_zero_jobs_is_usage_error():
     assert exc_info.value.code == 2
 
 
+@pytest.mark.parametrize("accesses", ["-5", "0"])
+def test_accesses_below_one_is_usage_error(accesses):
+    """0 is an error, not the default: only an absent --accesses means
+    ``REPRO_ACCESSES``."""
+    with pytest.raises(SystemExit) as exc_info:
+        main(["fig13", "--accesses", accesses])
+    assert exc_info.value.code == 2
+
+
 def test_parallel_stdout_identical_to_serial(capsys):
     assert main(["fig13", "--accesses", "100", "--jobs", "1"]) == 0
     serial_out = capsys.readouterr().out

@@ -42,6 +42,21 @@ def test_readme_examples_exist():
         assert path.exists(), f"README references missing {path}"
 
 
+def test_readme_knob_table_lists_every_repro_variable():
+    """README's knob table is the complete list of the ``REPRO_*``
+    environment variables the program reads: a quoted ``"REPRO_..."``
+    literal under ``src/`` has a row, and every row names one."""
+    read = set()
+    for path in (ROOT / "src").rglob("*.py"):
+        read.update(re.findall(r"[\"'](REPRO_[A-Z0-9_]+)[\"']", path.read_text()))
+    readme = (ROOT / "README.md").read_text()
+    table = set(re.findall(r"^\| `(REPRO_[A-Z0-9_]+)` \|", readme, re.M))
+    assert table == read, (
+        f"missing rows: {sorted(read - table)}; "
+        f"rows nothing reads: {sorted(table - read)}"
+    )
+
+
 def test_readme_mentions_all_deliverables():
     text = (ROOT / "README.md").read_text()
     for required in ("DESIGN.md", "EXPERIMENTS.md", "pytest tests/", "benchmarks"):

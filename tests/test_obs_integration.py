@@ -34,6 +34,24 @@ class TestAmbientConfiguration:
         assert bundle.tracer is obs.NULL_TRACER
         assert bundle.metrics_path is None
 
+    @pytest.mark.parametrize(
+        "name, value", [("REPRO_METRICS", "m.json"), ("REPRO_TS_EVERY", "1")]
+    )
+    def test_retired_variables_leave_the_run_dark(
+        self, name, value, tmp_path, monkeypatch
+    ):
+        """``REPRO_TRACE`` and ``REPRO_PROF`` are the only switches; a
+        retired variable set alone yields the disabled bundle."""
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv(name, value)
+        bundle = obs.begin_run("x")
+        assert bundle.tracer is obs.NULL_TRACER
+        assert bundle.profiler is obs.NULL_PROFILER
+        assert bundle.metrics_path is None
+        assert not any(
+            getattr(sink, "enabled", False) for sink in vars(bundle).values()
+        )
+
     def test_explicit_configure(self, tmp_path):
         obs.configure(trace=str(tmp_path / "t.jsonl"), every=8)
         path, every = obs.trace_settings()
@@ -101,14 +119,11 @@ class TestTracedRunEquivalence:
         dice_cfg = SystemConfig.paper_scale(
             65536, compressed=True, index_scheme="dice", name="dice"
         )
-        obs.configure(
-            trace=str(tmp_path / "t.jsonl"),
-            metrics=str(tmp_path / "m.json"),
-        )
+        obs.configure(trace=str(tmp_path / "t.jsonl"))
         run_workload("mcf", dice_cfg, PARAMS)
-        counters = json.loads((tmp_path / "m.json").read_text())["metrics"][
-            "counters"
-        ]
+        counters = json.loads(
+            (tmp_path / "t.metrics.json").read_text()
+        )["metrics"]["counters"]
         assert "sim.dice.installs_tsi" in counters
         assert "sim.dice.index_switches" in counters
         assert "sim.cip.lookups" in counters
@@ -257,3 +272,11 @@ class TestExecProgressFromRegistry:
             )
         )
         assert line == "jobs 12/40 · 4 running · 1 failed · eta 0:42 (mcf × dice)"
+
+    def test_eta_clock_styles(self):
+        from repro.exec.progress import format_duration
+
+        assert format_duration(None) == "--:--"
+        assert format_duration(42) == "0:42"
+        assert format_duration(125) == "2:05"
+        assert format_duration(3725) == "1:02:05"

@@ -12,8 +12,6 @@ from repro.obs import (
     Tracer,
     format_summary,
     read_events,
-    read_rotated_events,
-    rotated_paths,
     summarize_trace,
 )
 from repro.sim.engine import SimulationParams, run_workload
@@ -115,69 +113,6 @@ class TestTraceInspection:
         assert summary["spans"]["dram.access"]["count"] == 1
         rendered = format_summary(summary)
         assert "l4 reads [measure]: 1 hits / 1 misses" in rendered
-
-
-class TestRotation:
-    """Size-capped mode (``REPRO_TRACE_MAX_MB``): path → path.1 → path.2."""
-
-    def _filled(self, tmp_path, events=200, max_bytes=2048, keep=2):
-        tracer = Tracer(
-            tmp_path / "t.jsonl", meta={"run": "mcf"},
-            max_bytes=max_bytes, keep=keep,
-        )
-        for i in range(events):
-            tracer.instant("l4.read", "l4", i, hit=bool(i % 2), seq=i)
-        tracer.close()
-        return tracer
-
-    def test_cap_rolls_segments(self, tmp_path):
-        tracer = self._filled(tmp_path)
-        assert tracer.rotations > 0
-        segments = rotated_paths(tmp_path / "t.jsonl")
-        assert [p.name for p in segments] == [
-            "t.jsonl.2", "t.jsonl.1", "t.jsonl",
-        ]
-        for segment in segments:
-            assert segment.stat().st_size <= 2048
-
-    def test_each_segment_restates_the_meta_line(self, tmp_path):
-        self._filled(tmp_path)
-        for segment in rotated_paths(tmp_path / "t.jsonl"):
-            meta = json.loads(segment.read_text().splitlines()[0])["meta"]
-            assert meta["run"] == "mcf" and meta["rotating"] is True
-
-    def test_read_rotated_events_is_oldest_first(self, tmp_path):
-        self._filled(tmp_path)
-        events = read_rotated_events(tmp_path / "t.jsonl")
-        seqs = [e["args"]["seq"] for e in events]
-        assert seqs == sorted(seqs)
-        # only `keep` rotated segments survive, so the head is trimmed
-        assert len(seqs) < 200 and seqs[-1] == 199
-
-    def test_keep_bounds_total_disk(self, tmp_path):
-        self._filled(tmp_path, events=2000, keep=2)
-        names = sorted(p.name for p in tmp_path.iterdir())
-        assert "t.jsonl.3" not in names  # oldest segments were deleted
-        assert len([n for n in names if n.startswith("t.jsonl")]) == 3
-
-    def test_summarize_spans_the_whole_rotated_set(self, tmp_path):
-        self._filled(tmp_path)
-        summary = summarize_trace(tmp_path / "t.jsonl")
-        assert summary["segments"] == 3
-        assert summary["events"] == len(
-            read_rotated_events(tmp_path / "t.jsonl")
-        )
-        assert "(across 3 rotated segments)" in format_summary(summary)
-
-    def test_unrotated_trace_is_its_own_set(self, tmp_path):
-        tracer = Tracer(tmp_path / "t.jsonl")
-        tracer.instant("a", "c", 0)
-        tracer.close()
-        assert rotated_paths(tmp_path / "t.jsonl") == [tmp_path / "t.jsonl"]
-
-    def test_tiny_cap_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            Tracer(tmp_path / "t.jsonl", max_bytes=100)
 
 
 class TestExecTraceSummaries:

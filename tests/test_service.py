@@ -306,15 +306,6 @@ class TestStreamingAndIntrospection:
         assert promlint.lint(text) == []
         assert "# TYPE repro_service_jobs_total counter" in text
 
-    def test_metrics_history_ring(self, daemon):
-        daemon.client.run_campaign(
-            jobs=_specs(("mix1", "base")), client="hist"
-        )
-        history = daemon.client.history()
-        samples = history.get("samples", [])
-        assert samples, "submit/finalize events must tick the recorder"
-        assert "counters" in samples[-1]
-
     def test_slo_endpoint_and_healthz_verdict(self, daemon):
         daemon.client.run_campaign(
             jobs=_specs(("mix1", "base")), client="slo"
@@ -363,10 +354,17 @@ class TestStreamingAndIntrospection:
             daemon.client._request("POST", "/campaigns", {"client": "empty"})
         assert excinfo.value.status == 400  # plans no jobs
         # rejected at parse time, before any campaign state changes
-        for bad in ({"config": "warp-drive"}, {"scale": 0}):
+        for bad in (
+            {"config": "warp-drive"}, {"scale": 0},
+            {"workload": "no-such-workload"}, {"accesses": -5},
+            {"accesses": 0},  # an error, not the default
+        ):
             with pytest.raises(ServiceError) as excinfo:
                 daemon.client.submit(jobs=[{**_specs(("mcf", "base"))[0], **bad}])
             assert excinfo.value.status == 400
+        with pytest.raises(ServiceError) as excinfo:
+            daemon.client.submit(experiments=["fig13"], accesses=-5)
+        assert excinfo.value.status == 400
         assert daemon.client._request("GET", "/campaigns") == {"campaigns": []}
 
 

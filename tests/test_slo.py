@@ -1,4 +1,4 @@
-"""SLO grammar, evaluation, and burn-rate accounting tests."""
+"""SLO grammar, evaluation against current metrics, and formatting."""
 
 from __future__ import annotations
 
@@ -19,19 +19,13 @@ from repro.obs.slo import (
 class TestParsing:
     def test_full_grammar(self):
         spec = parse_slo(
-            "warm_p99: p99(service.submit.wall_us{kind=warm})"
-            " <= 500000 budget=0.1"
+            "warm_p99: p99(service.submit.wall_us{kind=warm}) <= 500000"
         )
         assert spec.name == "warm_p99"
         assert spec.fn == "p99"
         assert spec.metrics == ("service.submit.wall_us{kind=warm}",)
         assert spec.op == "<="
         assert spec.threshold == 500000.0
-        assert spec.budget == 0.1
-
-    def test_budget_defaults_to_advisory(self):
-        spec = parse_slo("q: max(service.queue.depth) <= 256")
-        assert spec.budget == 1.0
 
     def test_ratio_takes_two_args_with_plus_joined_counters(self):
         spec = parse_slo(
@@ -53,8 +47,11 @@ class TestParsing:
             "x: frobnicate(m) <= 1",  # unknown fn
             "x: p99(m) == 1",  # only <= / >= comparators
             "x: p99(m) <= notanumber",
-            "x: p99(m) <= 1 budget=0",  # budget must be in (0, 1]
+            "x: p99(m) <= 1 budget=0",  # no budgets: SLOs judge now
             "x: p99(m) <= 1 budget=1.5",
+            "x: p99(m) <= 1 budget=0.1",
+            "x: max(m) <= 1",  # max/min ranged over a history
+            "x: min(m) >= 1",
             "x: ratio(m) >= 0.5",  # ratio needs two args
             "x: p99(a, b) <= 1",  # quantiles take one
         ],
@@ -64,7 +61,7 @@ class TestParsing:
             parse_slo(bad)
 
     def test_describe_round_trips(self):
-        text = "q: max(service.queue.depth) <= 256 budget=0.25"
+        text = "q: last(service.queue.depth) <= 256"
         assert parse_slo(parse_slo(text).describe()).describe() == (
             parse_slo(text).describe()
         )
@@ -79,6 +76,7 @@ class TestParsing:
             "crash_budget",
         ]
         queue = specs[names.index("queue_depth")]
+        assert queue.fn == "last"
         assert queue.threshold == 64.0
 
 
@@ -130,8 +128,8 @@ class TestEvaluation:
 
     def test_gauge_threshold_direction(self):
         specs = parse_slos([
-            "low: max(service.queue.depth) <= 2",
-            "high: max(service.queue.depth) <= 4",
+            "low: last(service.queue.depth) <= 2",
+            "high: last(service.queue.depth) <= 4",
         ])
         statuses = evaluate(specs, _metrics())
         assert statuses[0].failed and not statuses[1].failed
@@ -146,63 +144,19 @@ class TestEvaluation:
         assert statuses[0].value == 5.0 and statuses[0].ok is True
 
 
-def _history(depths):
-    """Ring samples in ``registry.sample()`` shape with a queue gauge."""
-    return [
-        {
-            "ts": i,
-            "counters": {},
-            "gauges": {"service.queue.depth": d},
-            "quantiles": {},
-        }
-        for i, d in enumerate(depths)
-    ]
-
-
-class TestBurnRate:
-    def test_max_ranges_over_history(self):
-        statuses = evaluate(
-            parse_slos(["q: max(service.queue.depth) <= 256"]),
-            _metrics(),
-            history=_history([1, 9, 300, 2]),
-        )
-        assert statuses[0].value == 300.0
-        assert statuses[0].window == 4
-        assert statuses[0].violations == 1
-
-    def test_burn_exceeding_budget_fails_despite_current_value(self):
-        # 2 of 4 samples violate; budget tolerates 25% → burn 2.0
-        statuses = evaluate(
-            parse_slos(["q: max(service.queue.depth) <= 10 budget=0.25"]),
-            _metrics(),
-            history=_history([1, 11, 12, 2, 3, 4, 5, 6]),
-        )
-        status = statuses[0]
-        assert status.burn_rate == pytest.approx((2 / 8) / 0.25)
-        assert status.failed
-        assert not healthy(statuses)
-
-    def test_advisory_budget_never_fails_on_history_alone(self):
-        statuses = evaluate(
-            parse_slos(["q: last(service.queue.depth) <= 10"]),
-            _metrics(),  # current depth 3: ok
-            history=_history([11, 12, 3]),
-        )
-        status = statuses[0]
-        assert status.ok is True
-        assert status.burn_rate == pytest.approx(2 / 3)  # <= 1: advisory
-        assert not status.failed
-
+class TestFormatting:
     def test_formatting_marks_each_verdict(self):
         statuses = evaluate(
             parse_slos([
-                "fine: max(service.queue.depth) <= 256",
-                "broken: max(service.queue.depth) <= 1",
+                "fine: last(service.queue.depth) <= 256",
+                "broken: last(service.queue.depth) <= 1",
                 "nodata: p99(nothing) <= 1",
             ]),
             _metrics(),
         )
         rendered = format_statuses(statuses)
-        assert "ok" in rendered
-        assert "FAIL" in rendered
-        assert "SKIP (no data)" in rendered
+        header, fine, broken, nodata = rendered.splitlines()
+        assert header.split() == ["SLO", "value", "target", "verdict"]
+        assert fine.endswith(" ok")
+        assert broken.endswith(" FAIL")
+        assert nodata.endswith(" SKIP (no data)")

@@ -1,10 +1,8 @@
-"""Telemetry-plane unit tests: trace contexts, time series, Prometheus.
+"""Telemetry-plane unit tests: trace contexts, Prometheus, stitching.
 
 Covers the service-era telemetry additions (DESIGN.md Sec 15):
 
 * :class:`TraceContext` header/meta round-trips and ambient activation;
-* :class:`TimeSeriesRecorder` cadence and ring bounds, plus the
-  NULL_RECORDER overhead guard on an untelemetered simulation;
 * Prometheus exposition (validated with ``scripts/promlint.py``),
   including the label-escaping regression for workload names carrying
   ``-``, ``.``, and ``"``;
@@ -24,11 +22,8 @@ import pytest
 import repro.obs as obs
 from repro.obs import MetricsRegistry, Tracer
 from repro.obs.telemetry import (
-    NULL_RECORDER,
-    NullRecorder,
     PARENT_HEADER,
     TRACE_HEADER,
-    TimeSeriesRecorder,
     TraceContext,
     activate,
     current,
@@ -117,103 +112,23 @@ class TestTraceContext:
             assert current() is None
 
 
-class TestTimeSeriesRecorder:
-    def test_tick_samples_every_nth(self):
-        registry = MetricsRegistry()
-        beat = registry.counter("beat")
-        recorder = TimeSeriesRecorder(every=4)
-        for _ in range(16):
-            beat.inc()
-            recorder.tick(registry)
-        samples = recorder.samples()
-        assert len(samples) == 4
-        assert [s["counters"]["beat"] for s in samples] == [1, 5, 9, 13]
-
-    def test_ring_drops_oldest_past_capacity(self):
-        registry = MetricsRegistry()
-        recorder = TimeSeriesRecorder(capacity=8, every=1)
-        for i in range(20):
-            recorder.tick(registry, ts=i)
-        samples = recorder.samples()
-        assert len(samples) == 8
-        assert [s["ts"] for s in samples] == list(range(12, 20))
-
-    def test_caller_timestamps_win_over_tick_count(self):
-        registry = MetricsRegistry()
-        recorder = TimeSeriesRecorder()
-        recorder.tick(registry, ts=123456)
-        assert recorder.samples()[0]["ts"] == 123456
-
-    def test_histograms_snapshot_as_quantiles(self):
-        registry = MetricsRegistry()
-        hist = registry.histogram("service.submit.wall_us", kind="warm")
-        for us in (100, 200, 300):
-            hist.record(us)
-        recorder = TimeSeriesRecorder()
-        recorder.tick(registry)
-        quantiles = recorder.samples()[0]["quantiles"]
-        summary = quantiles["service.submit.wall_us{kind=warm}"]
-        assert summary["count"] == 3 and "p99" in summary
-
-    def test_validates_parameters(self):
-        with pytest.raises(ValueError):
-            TimeSeriesRecorder(capacity=0)
-        with pytest.raises(ValueError):
-            TimeSeriesRecorder(every=0)
-
-    def test_null_recorder_is_disabled_and_inert(self):
-        assert NULL_RECORDER.enabled is False
-        NULL_RECORDER.tick(MetricsRegistry())
-        assert NULL_RECORDER.samples() == []
-        assert NULL_RECORDER.to_dict()["samples"] == []
-
-
-class TestRecorderOverheadGuard:
-    def test_untelemetered_run_never_calls_the_recorder(
-        self, tiny_system, monkeypatch
-    ):
-        """Same counter-based guard as NULL_TRACER: the engine must check
-        ``recorder.enabled`` before ticking, so an untelemetered run
-        reaches NullRecorder methods exactly zero times."""
-        calls = {"n": 0}
-
-        def counting(self, *args, **kwargs):
-            calls["n"] += 1
-
-        monkeypatch.setattr(NullRecorder, "tick", counting)
-        monkeypatch.setattr(NullRecorder, "sample", counting)
-        result = run_workload(
-            "mcf", tiny_system, SimulationParams(accesses_per_core=400)
-        )
-        assert result.l4_accesses > 0
-        assert calls["n"] == 0
-
-    def test_untelemetered_bundle_shares_the_null_recorder(self):
-        assert obs.begin_run("x").recorder is NULL_RECORDER
-
-
 class TestBitIdentityWithTelemetryOn:
     def test_fully_telemetered_run_is_bit_identical(
-        self, tiny_system, tmp_path, monkeypatch
+        self, tiny_system, tmp_path
     ):
-        """Tracing + time-series sampling on the same run must not perturb
-        the simulation: identical SimResult, field for field."""
+        """Tracing, profiling and an ambient trace context on the same run
+        must not perturb the simulation: identical SimResult, field for
+        field."""
         params = SimulationParams(accesses_per_core=500)
         baseline = run_workload("mcf", tiny_system, params)
-        monkeypatch.setenv("REPRO_TS_EVERY", "2")
-        monkeypatch.setenv("REPRO_TRACE_MAX_MB", "1")
-        obs.configure(trace=str(tmp_path / "t.jsonl"), every=4)
+        obs.configure(
+            trace=str(tmp_path / "t.jsonl"), every=4,
+            profile=str(tmp_path / "p.prof.json"),
+        )
         with activate(TraceContext.new().child()):
             telemetered = run_workload("mcf", tiny_system, params)
         assert telemetered == baseline
-
-    def test_ts_sampling_alone_records_history(
-        self, tiny_system, monkeypatch
-    ):
-        monkeypatch.setenv("REPRO_TS_EVERY", "1")
-        bundle = obs.begin_run("x")
-        assert bundle.recorder.enabled
-        assert bundle.tracer is obs.NULL_TRACER
+        assert (tmp_path / "t.metrics.json").exists()
 
 
 class TestPrometheusRendering:
@@ -446,23 +361,15 @@ class TestTelemetryCLI:
         registry = MetricsRegistry()
         registry.gauge("service.queue.depth").set(3.0)
         export = tmp_path / "m.json"
-        export.write_text(
-            json.dumps({"metrics": registry.to_dict(), "history": {
-                "samples": [
-                    {"counters": {}, "quantiles": {},
-                     "gauges": {"service.queue.depth": float(d)}}
-                    for d in (1, 2, 3)
-                ],
-            }})
-        )
+        export.write_text(json.dumps({"metrics": registry.to_dict()}))
         ok = cli.main([
             "slo", "check", "--metrics", str(export),
-            "--slo", "q: max(service.queue.depth) <= 10",
+            "--slo", "q: last(service.queue.depth) <= 10",
         ])
         assert ok == 0
         failing = cli.main([
             "slo", "check", "--metrics", str(export),
-            "--slo", "q: max(service.queue.depth) <= 2",
+            "--slo", "q: last(service.queue.depth) <= 2",
         ])
         assert failing == cli.EXIT_SLO
 
