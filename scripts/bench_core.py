@@ -1,9 +1,11 @@
 #!/usr/bin/env python
 """Measure hot-path simulator throughput per design configuration.
 
-Runs one workload x config matrix without any caching and reports
-*simulated L3 accesses per second of wall clock* for each design —
-the repository's core performance trajectory (``BENCH_core.json``)::
+Runs one workload x config matrix with no result cache, each run on a
+fresh line store (so every line is synthesized and sized, as in a
+process's first run of a trace), and reports *simulated L3 accesses per
+second of wall clock* for each design — the repository's core
+performance trajectory (``BENCH_core.json``)::
 
     PYTHONPATH=src python scripts/bench_core.py \
         --min-throughput 2000 --out BENCH_core.json
@@ -40,6 +42,7 @@ if "REPRO_CACHE_PATH" not in os.environ:
 
 from repro.harness.runner import make_config  # noqa: E402
 from repro.sim.engine import SimulationParams, run_workload  # noqa: E402
+from repro.sim.linestore import LineStore  # noqa: E402
 
 DEFAULT_CONFIGS = ["base", "tsi", "bai", "dice", "scc"]
 DEFAULT_WORKLOADS = ["mcf", "gcc"]
@@ -51,8 +54,11 @@ def _bench_cell(workload: str, config_name: str, params, repeats: int):
     best = float("inf")
     accesses = 0
     for _ in range(repeats):
+        # a fresh store keeps every repeat cold: on the process store a
+        # repeat would find every line synthesized and sized
+        store = LineStore()
         start = time.perf_counter()
-        result = run_workload(workload, config, params)
+        result = run_workload(workload, config, params, store=store)
         elapsed = time.perf_counter() - start
         best = min(best, elapsed)
         # demand L3 accesses actually simulated (all cores, incl. warmup)

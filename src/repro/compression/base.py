@@ -53,7 +53,7 @@ class CodecMemo:
     hybrid).  Keys reference the caller's ``bytes`` objects, so the memo
     costs dict overhead, not data copies.
 
-    ``sizes`` may be a dict that outlives this memo (a worker's
+    ``sizes`` may be a dict that outlives this memo (the process's
     :class:`~repro.sim.linestore.LineStore` hands every run's hybrid the
     same one); the counters are always this memo's own.
     """

@@ -70,7 +70,7 @@ class CompressedDRAMCache:
     # -- timing helpers ------------------------------------------------------
 
     def _access_device(self, set_index: int, arrival: int, nbytes: int = TAD_TRANSFER_BYTES) -> int:
-        return self.device.access(set_index, arrival, nbytes).finish_cycle
+        return self.device.access(set_index, arrival, nbytes)
 
     # -- read path -----------------------------------------------------------
 

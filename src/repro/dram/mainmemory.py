@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Callable, Dict, Optional
 
 from repro.config import DRAMOrganization, LINE_SIZE
-from repro.dram.device import AccessResult, DRAMDevice
+from repro.dram.device import DRAMDevice
 
 DataGenerator = Callable[[int], bytes]
 """Maps a line address to its initial 64 B contents."""
@@ -52,14 +52,14 @@ class MainMemory:
             raise ValueError("main memory stores whole lines")
         self._lines[line_addr] = data
 
-    def read(self, line_addr: int, arrival: int) -> "tuple[bytes, AccessResult]":
-        """Timed read of one line."""
+    def read(self, line_addr: int, arrival: int) -> "tuple[bytes, int]":
+        """Timed read of one line: its data and the finish cycle."""
         self.reads += 1
-        result = self.device.access(line_addr, arrival, LINE_SIZE)
-        return self.read_data(line_addr), result
+        finish = self.device.access(line_addr, arrival, LINE_SIZE)
+        return self.read_data(line_addr), finish
 
-    def write(self, line_addr: int, data: bytes, arrival: int) -> AccessResult:
-        """Timed writeback of one line."""
+    def write(self, line_addr: int, data: bytes, arrival: int) -> int:
+        """Timed writeback of one line; returns the finish cycle."""
         self.writes += 1
         self.write_data(line_addr, data)
         return self.device.access(line_addr, arrival, LINE_SIZE)

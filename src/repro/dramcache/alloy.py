@@ -66,9 +66,7 @@ class AlloyCache:
         return line_addr % self.num_sets
 
     def _access_device(self, set_index: int, arrival: int) -> int:
-        return self.device.access(
-            set_index, arrival, TAD_TRANSFER_BYTES
-        ).finish_cycle
+        return self.device.access(set_index, arrival, TAD_TRANSFER_BYTES)
 
     def read(self, line_addr: int, arrival: int, pc: int = 0) -> L4ReadResult:
         """Probe the direct-mapped location; one access either way."""

@@ -47,7 +47,7 @@ class PairSizeCache:
     (dict order is insertion order) and, at capacity, the least recently
     used entry is dropped — unlike a clear-when-full cache, the hot working
     set of pairs survives capacity pressure.  ``cache`` may be a dict that
-    outlives this instance (a worker store's pair memo, see
+    outlives this instance (a line store's pair memo, see
     :func:`l4_codecs`); the counters are always this instance's own.
     """
 
@@ -98,7 +98,7 @@ def l4_codecs(
 ) -> Tuple[Compressor, PairSizeCache]:
     """A compressed L4's own compressor and pair-size cache.
 
-    With a worker store, both are built around the store's size and pair
+    With a line store, both are built around the store's size and pair
     memos, so what one run sized the next one finds.  A caller's own
     compressor keeps private memos: the store's hold hybrid sizes only.
     """

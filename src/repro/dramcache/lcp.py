@@ -71,9 +71,7 @@ class LCPDRAMCache:
 
     def read(self, line_addr: int, arrival: int, pc: int = 0) -> L4ReadResult:
         set_index = self.set_index(line_addr)
-        finish = self.device.access(
-            set_index, arrival, TAD_TRANSFER_BYTES
-        ).finish_cycle
+        finish = self.device.access(set_index, arrival, TAD_TRANSFER_BYTES)
         resident = self._sets.get(set_index)
         if resident is None or resident[0] != line_addr:
             self.read_misses += 1
@@ -86,7 +84,7 @@ class LCPDRAMCache:
             # Serialized second access into the exception region.
             finish = self.device.access(
                 set_index ^ 1, finish, TAD_TRANSFER_BYTES
-            ).finish_cycle
+            )
             self.exception_accesses += 1
             accesses = 2
         else:
@@ -125,7 +123,7 @@ class LCPDRAMCache:
         if not after_demand_read:
             arrival = self.device.access(
                 set_index, arrival, TAD_TRANSFER_BYTES
-            ).finish_cycle
+            )
             accesses += 1
         is_exception = self._is_exception(data)
         victim = self._sets.get(set_index)
@@ -135,15 +133,13 @@ class LCPDRAMCache:
         if victim is not None and victim[0] == line_addr:
             dirty = dirty or victim[2]
         self._sets[set_index] = (line_addr, data, dirty, is_exception)
-        finish = self.device.access(
-            set_index, arrival, TAD_TRANSFER_BYTES
-        ).finish_cycle
+        finish = self.device.access(set_index, arrival, TAD_TRANSFER_BYTES)
         accesses += 1
         if is_exception:
             # exception-region write, serialized
             finish = self.device.access(
                 set_index ^ 1, finish, TAD_TRANSFER_BYTES
-            ).finish_cycle
+            )
             accesses += 1
         self.installs += 1
         return L4WriteResult(

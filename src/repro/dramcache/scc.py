@@ -98,9 +98,7 @@ class SCCDRAMCache:
         device_access = self.device.access
         ways = self._ways
         for way, set_index in enumerate(self._locations(line_addr)):
-            finish = device_access(
-                set_index, finish, TAD_TRANSFER_BYTES
-            ).finish_cycle
+            finish = device_access(set_index, finish, TAD_TRANSFER_BYTES)
             cset = ways[way].get(set_index)
             stored = cset.get(line_addr) if cset is not None else None
             if stored is not None and found is None:
@@ -151,7 +149,7 @@ class SCCDRAMCache:
         if not after_demand_read:
             arrival = self.device.access(
                 set_index, arrival, TAD_TRANSFER_BYTES
-            ).finish_cycle
+            )
             accesses += 1
         # Remove stale copies in other ways.
         for other_way in range(SCC_WAYS):
@@ -169,9 +167,7 @@ class SCCDRAMCache:
             line_addr=line_addr, data=data, size=size, dirty=dirty
         )
         evicted = cset.insert(stored, self.pair_sizes)
-        finish = self.device.access(
-            set_index, arrival, TAD_TRANSFER_BYTES
-        ).finish_cycle
+        finish = self.device.access(set_index, arrival, TAD_TRANSFER_BYTES)
         accesses += 1
         self.installs += 1
         writebacks = [(v.line_addr, v.data) for v in evicted if v.dirty]

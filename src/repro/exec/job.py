@@ -18,7 +18,6 @@ from typing import TYPE_CHECKING, Optional, Tuple
 
 from repro.harness import runner as runner_mod
 from repro.sim.engine import SimulationParams
-from repro.sim.linestore import LineStore
 from repro.sim.metrics import SimResult
 
 if TYPE_CHECKING:  # import at runtime would close an import cycle:
@@ -102,12 +101,11 @@ class Job:
             self.workload, self.config_name, scale=self.scale, params=self.params
         )
 
-    def execute(self, store: Optional[LineStore] = None) -> SimResult:
-        """Run (or fetch) the simulation through the shared result cache;
-        a pool worker passes the store its jobs share."""
+    def execute(self) -> SimResult:
+        """Run (or fetch) the simulation through the shared result cache."""
         return runner_mod.cached_run(
             self.workload, self.config_name, scale=self.scale,
-            params=self.params, store=store,
+            params=self.params,
         )
 
 

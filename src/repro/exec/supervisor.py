@@ -26,11 +26,11 @@ observable incident:
   persists its own cache shard); whatever is still running then is
   terminated, so no worker outlives the shutdown and the campaign stays
   resumable bit-identically;
-* **trace-once dispatch** — each worker keeps one
-  :class:`~repro.sim.linestore.LineStore` across its jobs, and a worker
-  freed by a job of one workload takes the oldest queued job of that
-  workload, so the designs replaying one trace share its line contents
-  and compressed sizes.
+* **trace-once dispatch** — each worker's jobs draw on its process
+  :class:`~repro.sim.linestore.LineStore`, and a worker freed by a job of
+  one workload takes the oldest queued job of that workload, so the
+  designs replaying one trace share its line contents and compressed
+  sizes.
 
 An attempt that *raises* fails its job at once: a simulation is a
 deterministic function of its cache key, so running it again would only
@@ -66,7 +66,6 @@ from repro.chaos.policy import ChaosPolicy
 from repro.exec.job import Job
 from repro.harness import runner as runner_mod
 from repro.obs import telemetry
-from repro.sim.linestore import LineStore
 from repro.sim.metrics import SimResult
 
 
@@ -233,19 +232,12 @@ def validate_result(result) -> Optional[str]:
 # ---------------------------------------------------------------------------
 # worker-side entry points (top level: picklable under spawn)
 
-_worker_store: Optional[LineStore] = None
-"""The store a pool worker's jobs share; set by :func:`_worker_init` in
-the worker, None in every other process."""
-
-
 def _worker_init(
     chaos_policy: Optional[ChaosPolicy], run_offset: Optional[int]
 ) -> None:
-    """Set a worker up: its line store, signals, chaos seams (if any) and,
-    in a one-worker pool, trace/profile file names the way an in-process
-    run had them."""
-    global _worker_store
-    _worker_store = LineStore()
+    """Set a worker up: its signals, chaos seams (if any) and, in a
+    one-worker pool, trace/profile file names the way an in-process run
+    had them."""
     # Shutdown is the parent's call.  A fork inherits the parent's Python
     # handlers (graceful_signals, the daemon's event loop), which would
     # make SIGTERM a no-op here and leave the supervisor unable to
@@ -277,7 +269,7 @@ def _supervised_execute(
         # restore the job's distributed-trace coordinates as this
         # worker's ambient context (no-op for an untraced job)
         with telemetry.activate(job.trace):
-            result = job.execute(_worker_store)
+            result = job.execute()
     problem = validate_result(result)
     if problem is not None:
         # The poisoned value reached the cache inside job.execute();

@@ -65,6 +65,7 @@ supervisor thread failed (it drains and checkpoints first).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import List, Optional
 
@@ -97,6 +98,26 @@ def _accesses(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
+
+
+def _accesses_or_default(
+    parser: argparse.ArgumentParser, accesses: Optional[int]
+) -> int:
+    """``--accesses``, else the ``REPRO_ACCESSES`` default.
+
+    The defaults are read from the environment at import, so an
+    environment value below 1 (``REPRO_SCALE`` always, ``REPRO_ACCESSES``
+    when the flag is absent) is a usage error here, as the flag's is.
+    """
+    from repro.harness.runner import DEFAULT_ACCESSES, DEFAULT_SCALE
+
+    if DEFAULT_SCALE < 1:
+        parser.error(f"REPRO_SCALE must be >= 1, got {DEFAULT_SCALE}")
+    if accesses is not None:
+        return accesses
+    if DEFAULT_ACCESSES < 1:
+        parser.error(f"REPRO_ACCESSES must be >= 1, got {DEFAULT_ACCESSES}")
+    return DEFAULT_ACCESSES
 
 
 def run_one(key: str, params: SimulationParams) -> None:
@@ -186,7 +207,6 @@ def _chaos_command(argv: List[str]) -> int:
     """
     import dataclasses
     import json
-    import os
     import shutil
     import tempfile
     import time
@@ -195,7 +215,6 @@ def _chaos_command(argv: List[str]) -> int:
     from repro.chaos import ChaosPolicy, class_counts
     from repro.exec import SupervisorPolicy, build_plan, last_report, run_jobs
     from repro.harness import runner as runner_mod
-    from repro.harness.runner import DEFAULT_ACCESSES
 
     parser = argparse.ArgumentParser(
         prog="repro.harness.cli chaos",
@@ -248,7 +267,8 @@ def _chaos_command(argv: List[str]) -> int:
     if unknown:
         parser.error(f"unknown experiment(s): {', '.join(unknown)}")
     params = SimulationParams(
-        accesses_per_core=args.accesses or DEFAULT_ACCESSES, seed=args.seed
+        accesses_per_core=_accesses_or_default(parser, args.accesses),
+        seed=args.seed,
     )
     plan = build_plan(keys, params)
     if not plan.jobs:
@@ -546,7 +566,7 @@ def _manifest_command(argv: List[str]) -> int:
     import json
 
     import repro.obs as obs
-    from repro.harness.runner import DEFAULT_ACCESSES, peek_cached
+    from repro.harness.runner import peek_cached
 
     parser = argparse.ArgumentParser(prog="repro.harness.cli manifest")
     parser.add_argument("action", choices=["show"])
@@ -582,7 +602,7 @@ def _manifest_command(argv: List[str]) -> int:
     if not args.workload or not args.config:
         parser.error("manifest show needs WORKLOAD CONFIG (or --shard PATH)")
     params = SimulationParams(
-        accesses_per_core=args.accesses or DEFAULT_ACCESSES,
+        accesses_per_core=_accesses_or_default(parser, args.accesses),
         seed=args.seed,
         fault_rate=args.fault_rate,
         ecc=args.ecc,
@@ -617,7 +637,6 @@ def _report_command(argv: List[str]) -> int:
     from pathlib import Path
 
     from repro.analysis import flight
-    from repro.harness.runner import DEFAULT_ACCESSES
     from repro.obs import fidelity
     from repro.obs.prof import read_profile
 
@@ -693,7 +712,8 @@ def _report_command(argv: List[str]) -> int:
             parser.error(f"unknown experiment(s): {', '.join(unknown)}")
 
     params = SimulationParams(
-        accesses_per_core=args.accesses or DEFAULT_ACCESSES, seed=args.seed
+        accesses_per_core=_accesses_or_default(parser, args.accesses),
+        seed=args.seed,
     )
     context = fidelity.params_context(params)
     distributions = None
@@ -814,7 +834,6 @@ def _serve_command(argv: List[str]) -> int:
     injection in the daemon's workers, as it does for any command.
     """
     import asyncio
-    import os
     from pathlib import Path
 
     from repro.chaos import from_env as chaos_from_env
@@ -892,6 +911,8 @@ def _serve_command(argv: List[str]) -> int:
         parser.error("--max-queue must be >= 0")
     if args.trace_every is not None and args.trace_every < 1:
         parser.error("--trace-every must be >= 1")
+    # the daemon applies both defaults to every submission that omits them
+    _accesses_or_default(parser, None)
     if args.slo:
         try:
             slo_mod.parse_slos(args.slo)
@@ -1380,10 +1401,8 @@ def main(argv=None) -> int:
             print(f"  {key:8s} {title}")
         return EXIT_OK
 
-    from repro.harness.runner import DEFAULT_ACCESSES
-
     params = SimulationParams(
-        accesses_per_core=args.accesses or DEFAULT_ACCESSES,
+        accesses_per_core=_accesses_or_default(parser, args.accesses),
         seed=args.seed,
         fault_rate=args.fault_rate,
         ecc=args.ecc,
@@ -1468,4 +1487,14 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        status = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early (``cli list | head -1``).  Point
+        # stdout at /dev/null so the interpreter's final flush cannot raise
+        # again; SIG_DFL for SIGPIPE would instead let a dropped client
+        # socket kill ``cli serve``.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 1
+    sys.exit(status)

@@ -31,7 +31,6 @@ from repro.config import SystemConfig
 from repro.exec.cache import ShardedResultCache
 from repro.obs.manifest import MODEL_DIGEST, config_digest
 from repro.sim.engine import SimulationParams, run_workload
-from repro.sim.linestore import LineStore
 from repro.sim.metrics import SimResult
 
 DEFAULT_SCALE = int(os.environ.get("REPRO_SCALE", 4096))
@@ -291,17 +290,15 @@ def cached_run(
     *,
     scale: int = DEFAULT_SCALE,
     params: Optional[SimulationParams] = None,
-    store: Optional[LineStore] = None,
 ) -> SimResult:
-    """Run (or fetch) one simulation; a run draws on ``store`` (see
-    :func:`~repro.sim.engine.run_workload`)."""
+    """Run (or fetch) one simulation."""
     params = params or SimulationParams(accesses_per_core=DEFAULT_ACCESSES)
     key = _key(workload, config_name, scale, params)
     found = _lookup(key)
     if found is not None:
         return found
     config = resolve_config(config_name, scale)
-    result = _run_executor(workload, config, params, store=store)
+    result = _run_executor(workload, config, params)
     _memory_cache[key] = result
     if _DISK_CACHE:
         # atomic and concurrency-safe; a failing disk is counted, not raised

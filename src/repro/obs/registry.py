@@ -179,32 +179,6 @@ class MetricsRegistry:
     def get(self, name: str, **labels) -> Optional[object]:
         return self._metrics.get(metric_key(name, labels))
 
-    def quantiles(self, name: str, **labels) -> Optional[Dict[str, float]]:
-        """Quantile summary of a histogram or tracker instrument.
-
-        Returns ``None`` — instead of raising — for an unknown instrument,
-        for an instrument kind that has no distribution (counter/gauge),
-        and for an *empty* histogram or tracker, so report code can poll
-        before any samples arrive.  Histograms yield their latency
-        p50/p95/p99; trackers yield per-window byte-count quantiles.
-        """
-        metric = self._metrics.get(metric_key(name, labels))
-        if isinstance(metric, LatencyHistogram):
-            if metric.total == 0:
-                return None
-            return dict(metric.quantiles())
-        if isinstance(metric, BandwidthTracker):
-            windows = sorted(
-                nbytes for _, nbytes in metric.to_dict()["windows"]
-            )
-            if not windows:
-                return None
-            def rank(p: float) -> float:
-                index = max(0, int(len(windows) * p / 100.0 + 0.5) - 1)
-                return float(windows[min(index, len(windows) - 1)])
-            return {"p50": rank(50), "p95": rank(95), "p99": rank(99)}
-        return None
-
     # -- collectors ----------------------------------------------------------
 
     def add_collector(self, fn: Callable[["MetricsRegistry"], None]) -> None:

@@ -17,7 +17,7 @@ from typing import List, Optional
 from repro import obs
 from repro.config import SystemConfig
 from repro.sim.energy import EnergyParams, total_energy_nj
-from repro.sim.linestore import LineStore
+from repro.sim.linestore import LineStore, process_store
 from repro.sim.metrics import SimResult
 from repro.sim.system import MemorySystem
 from repro.workloads.base import TraceGenerator
@@ -112,12 +112,13 @@ def run_workload(
 ) -> SimResult:
     """Simulate one workload on one machine configuration.
 
-    ``store`` keeps line contents and compressed sizes for later runs (a
-    pool worker passes its own); without one the run builds a fresh store
-    and nothing outlives it.  The result is the same either way.
+    The run draws line contents and compressed sizes from ``store`` and
+    leaves its own there for later runs; without one it uses the process
+    store (:func:`~repro.sim.linestore.process_store`).  The result is the
+    same on any store.
     """
     params = params or SimulationParams()
-    store = store if store is not None else LineStore()
+    store = store if store is not None else process_store()
     run_obs = obs.begin_run(f"{workload}x{config.name}")
     tracer = run_obs.tracer
     prof = run_obs.profiler

@@ -2,16 +2,21 @@
 
 A line's initial bytes depend only on its workload's data profile and its
 address, and its compressed sizes depend only on its bytes.  A campaign
-replays each workload under many designs, so a pool worker keeps one
-:class:`LineStore` for its lifetime and every run it executes draws from
-it: each line is synthesized once and each distinct content sized once
-per worker, not once per run.
+replays each workload under many designs, so every process keeps one
+:class:`LineStore` (:func:`process_store`) and every run it executes draws
+from it: each line is synthesized once and each distinct content sized
+once per process, not once per run.  A forked pool worker starts from its
+parent's store, copy-on-write; the parents that fork workers (``cli`` and
+the campaign daemon) never simulate, so theirs is empty.
 
 Runs still build their own trace generators, compressors and caches; they
 only read and fill the store's tables, so every result is bit-identical
 to a run on a fresh store, and a worker crash loses only the memo.
 Stored-to data never enters the store: it stays in the run's own
 ``MainMemory``.
+
+The store is not thread-safe (its memos refresh recency with ``del`` then
+re-insert), which holds because a process runs one simulation at a time.
 """
 
 from __future__ import annotations
@@ -77,3 +82,11 @@ class LineStore:
                 break
             held -= len(tables.pop(key))
         return [tables[key] for key in own]
+
+
+_PROCESS_STORE = LineStore()
+
+
+def process_store() -> LineStore:
+    """The store every run in this process draws on unless handed one."""
+    return _PROCESS_STORE

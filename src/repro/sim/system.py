@@ -116,7 +116,7 @@ class MemorySystem:
             # unprofiled runs keep the original unwrapped bound methods.
             # The compressor instance is shared with the pair-size cache,
             # so one wrap covers both install- and probe-side codec calls;
-            # it is this run's own (a worker store shares only its memos),
+            # it is this run's own (the line store shares only its memos),
             # so the wrap ends with the run.
             # Frames that model simulated time are charged the cycles from
             # their start argument to the finish cycle they return; L4
@@ -136,7 +136,7 @@ class MemorySystem:
             )
             instrument_method(
                 self.memory, "read", "dram.mainmemory", prof,
-                cycles=lambda args, res: res[1].finish_cycle - args[1],
+                cycles=lambda args, res: res[1] - args[1],
             )
             instrument_method(self.mapi, "predict_miss", "mapi.predict", prof)
             compressor = getattr(self.l4, "compressor", None)
@@ -255,12 +255,10 @@ class MemorySystem:
         else:
             self.mapi.update(access.pc, was_miss=True)
             mem_arrival = t if predicted_miss else result.finish_cycle
-            data, mem_res = self.memory.read(line, mem_arrival)
-            self._install_l4(
-                line, data, mem_res.finish_cycle, after_demand_read=True
-            )
-            self._install_l3(line, data, now=mem_res.finish_cycle)
-            finish = max(result.finish_cycle, mem_res.finish_cycle)
+            data, mem_finish = self.memory.read(line, mem_arrival)
+            self._install_l4(line, data, mem_finish, after_demand_read=True)
+            self._install_l3(line, data, now=mem_finish)
+            finish = max(result.finish_cycle, mem_finish)
 
         self._maybe_prefetch(line, finish)
         return finish

@@ -118,7 +118,7 @@ class TraceGenerator:
             profile.class_weights, seed=_stable_hash(profile.name) & 0xFFFF
         )
         # initial contents already synthesized, by local line address; a
-        # run points this at its worker store's table for ``self.data``
+        # run points this at its line store's table for ``self.data``
         self.lines: Dict[int, bytes] = {}
         self._rng = random.Random(
             (seed * 1_000_003) ^ _stable_hash(profile.name)

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -105,6 +109,63 @@ def test_accesses_below_one_is_usage_error(accesses):
     with pytest.raises(SystemExit) as exc_info:
         main(["fig13", "--accesses", accesses])
     assert exc_info.value.code == 2
+
+
+def _cli(args, env=None, **kwargs):
+    """``python -m repro.harness.cli ARGS`` in a fresh interpreter, so
+    the environment defaults are read at import as a user's shell sets
+    them."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    environ = {
+        **os.environ, "PYTHONPATH": str(src), "REPRO_DISK_CACHE": "0",
+        **(env or {}),
+    }
+    return subprocess.run(
+        [sys.executable, "-m", "repro.harness.cli", *args],
+        env=environ, stderr=subprocess.PIPE, timeout=120, **kwargs,
+    )
+
+
+@pytest.mark.parametrize(
+    "env, args",
+    [
+        ({"REPRO_ACCESSES": "-5"}, ["fig13"]),
+        ({"REPRO_ACCESSES": "0"}, ["all"]),
+        ({"REPRO_ACCESSES": "-5"}, ["chaos"]),
+        ({"REPRO_ACCESSES": "-5"}, ["manifest", "show", "mcf", "dice"]),
+        ({"REPRO_ACCESSES": "-5"}, ["report", "--flight"]),
+        ({"REPRO_ACCESSES": "0"}, ["serve", "--port", "0"]),
+        ({"REPRO_SCALE": "0"}, ["fig13", "--accesses", "100"]),
+        ({"REPRO_SCALE": "-1"}, ["serve", "--port", "0"]),
+    ],
+)
+def test_environment_default_below_one_is_usage_error(env, args):
+    """A default taken from the environment is checked like the flag:
+    exit 2 naming the variable, before anything is planned or served."""
+    proc = _cli(args, env, stdout=subprocess.PIPE)
+    (variable, value), = env.items()
+    assert proc.returncode == 2, proc.stderr.decode()
+    assert f"{variable} must be >= 1, got {value}" in proc.stderr.decode()
+    assert b"Traceback" not in proc.stderr
+
+
+def test_environment_default_unused_by_the_command_is_not_checked():
+    proc = _cli(["list"], {"REPRO_ACCESSES": "-5"}, stdout=subprocess.PIPE)
+    assert proc.returncode == 0
+    assert b"fig13" in proc.stdout
+
+
+def test_closed_stdout_exits_quietly():
+    """``cli list | head -0``: the reader is gone before anything is
+    written, so the write fails with EPIPE; no traceback, exit 1."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _cli(["list"], stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == b""
 
 
 def test_parallel_stdout_identical_to_serial(capsys):

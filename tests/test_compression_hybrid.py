@@ -100,6 +100,7 @@ class TestHybrid:
         are still the best member's encoding."""
         from repro.harness.runner import resolve_config
         from repro.sim.engine import SimulationParams, run_workload
+        from repro.sim.linestore import LineStore
         from repro.sim.system import MemorySystem
 
         systems = []
@@ -112,7 +113,7 @@ class TestHybrid:
         monkeypatch.setattr(MemorySystem, "__init__", capturing)
         run_workload(
             "mcf", resolve_config("dice", 4096),
-            SimulationParams(accesses_per_core=200),
+            SimulationParams(accesses_per_core=200), store=LineStore(),
         )
         hybrid = systems[0].l4.compressor
         assert hybrid.memo_stats()["misses"] > 0

@@ -41,6 +41,28 @@ def _run_to_completion(cwd):
     )
 
 
+def _signal_mid_campaign(proc, cwd, signum, *, group=False):
+    """Send ``signum`` once the campaign has cached its first simulation.
+
+    A fixed sleep races the campaign at both ends: too early and the
+    signal lands before the CLI installs its handlers, too late and the
+    campaign has already finished.  The first result shard on disk shows
+    the handlers are up while most of the jobs are still to run.
+    """
+    shards = Path(cwd) / ".sim_cache.d"
+    deadline = time.monotonic() + 120
+    while proc.poll() is None and time.monotonic() < deadline:
+        if any(shards.glob("*.json")):
+            break
+        time.sleep(0.01)
+    if proc.poll() is not None:
+        return  # finished early
+    if group:
+        os.killpg(proc.pid, signum)
+    else:
+        proc.send_signal(signum)
+
+
 def _normalized_results(cwd):
     """Every cached result in ``cwd``, with run-provenance stripped.
 
@@ -80,11 +102,9 @@ class TestKillResume:
             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
             start_new_session=True,  # so the kill takes the workers too
         )
-        time.sleep(1.5)
-        try:
-            os.killpg(proc.pid, signal.SIGKILL)  # no cleanup, no goodbye
-        except ProcessLookupError:
-            pass  # finished early: resume is then trivially identical
+        # no cleanup, no goodbye; had it finished early, resume would be
+        # trivially identical
+        _signal_mid_campaign(proc, victim, signal.SIGKILL, group=True)
         proc.wait(timeout=30)
 
         resumed = _run_to_completion(victim)
@@ -100,8 +120,7 @@ class TestKillResume:
             stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
             start_new_session=True,
         )
-        time.sleep(1.2)
-        proc.send_signal(signal.SIGTERM)
+        _signal_mid_campaign(proc, work, signal.SIGTERM)
         _out, err = proc.communicate(timeout=120)
         if proc.returncode == 0:
             pytest.skip("campaign finished before the signal landed")

@@ -137,51 +137,3 @@ class TestLabelEscaping:
 
     def test_label_keys_are_escaped_too(self):
         assert metric_key("m", {"a=b": "v"}) != metric_key("m", {"a": "b=v"})
-
-
-class TestQuantiles:
-    """registry.quantiles() returns None instead of raising on empties."""
-
-    def test_unknown_instrument_returns_none(self):
-        assert MetricsRegistry().quantiles("nope") is None
-
-    def test_counter_and_gauge_have_no_distribution(self):
-        registry = MetricsRegistry()
-        registry.counter("c").inc()
-        registry.gauge("g").set(1.0)
-        assert registry.quantiles("c") is None
-        assert registry.quantiles("g") is None
-
-    def test_empty_histogram_returns_none(self):
-        registry = MetricsRegistry()
-        registry.histogram("h")
-        assert registry.quantiles("h") is None
-
-    def test_empty_tracker_returns_none(self):
-        registry = MetricsRegistry()
-        registry.tracker("t")
-        assert registry.quantiles("t") is None
-
-    def test_populated_histogram_yields_percentiles(self):
-        registry = MetricsRegistry()
-        histogram = registry.histogram("h")
-        for latency in (10, 20, 400):
-            histogram.record(latency)
-        quantiles = registry.quantiles("h")
-        assert set(quantiles) == {"p50", "p95", "p99"}
-        assert quantiles["p50"] <= quantiles["p99"]
-
-    def test_populated_tracker_yields_window_quantiles(self):
-        registry = MetricsRegistry()
-        tracker = registry.tracker("t", window_cycles=100)
-        tracker.record(10, 64)
-        tracker.record(150, 128)
-        quantiles = registry.quantiles("t")
-        assert set(quantiles) == {"p50", "p95", "p99"}
-        assert quantiles["p99"] == 128.0
-
-    def test_quantiles_respect_labels(self):
-        registry = MetricsRegistry()
-        registry.histogram("h", chan="a").record(5)
-        assert registry.quantiles("h", chan="a") is not None
-        assert registry.quantiles("h", chan="b") is None

@@ -1,14 +1,15 @@
-"""Trace-once campaigns: a worker's line store and workload-affine dispatch.
+"""Trace-once campaigns: the process line store and workload-affine dispatch.
 
-A pool worker keeps line contents and compressed sizes across its jobs
-(:class:`~repro.sim.linestore.LineStore`), and a worker freed by a job of
-one workload takes the next queued job of that workload.  Neither may
-change a single result.
+Every process keeps line contents and compressed sizes across its runs
+(:func:`~repro.sim.linestore.process_store`), and a pool worker freed by
+a job of one workload takes the next queued job of that workload.
+Neither may change a single result.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from collections import Counter
 from concurrent.futures import Future
 
@@ -26,7 +27,8 @@ from repro.sim.engine import (
     SimulationParams,
     run_workload,
 )
-from repro.sim.linestore import LineStore
+from repro.sim import linestore as linestore_mod
+from repro.sim.linestore import LineStore, process_store
 from repro.sim.system import MemorySystem
 from repro.workloads.base import TraceGenerator
 from repro.workloads.data import LineDataFactory
@@ -50,6 +52,35 @@ def captured_systems(monkeypatch):
 
     monkeypatch.setattr(MemorySystem, "__init__", capturing)
     return systems
+
+
+@pytest.fixture
+def empty_process_store(monkeypatch):
+    """An empty process store for the test's runs and the workers it forks."""
+    store = LineStore()
+    monkeypatch.setattr(linestore_mod, "_PROCESS_STORE", store)
+    return store
+
+
+def _count_synthesis_and_sizing(monkeypatch):
+    """Counters of line syntheses, by (factory key, address), and of hybrid
+    sizings, by content, for every run made after the call."""
+    synthesized = Counter()
+    sized = Counter()
+    line_data = LineDataFactory.line_data
+    size_kernel = HybridCompressor._size_kernel
+
+    def counting_line_data(self, line_addr):
+        synthesized[(self.key, line_addr)] += 1
+        return line_data(self, line_addr)
+
+    def counting_size_kernel(self, data):
+        sized[data] += 1
+        return size_kernel(self, data)
+
+    monkeypatch.setattr(LineDataFactory, "line_data", counting_line_data)
+    monkeypatch.setattr(HybridCompressor, "_size_kernel", counting_size_kernel)
+    return synthesized, sized
 
 
 class TestLineStoreBound:
@@ -103,25 +134,10 @@ class TestSharedStoreRuns:
     ):
         monkeypatch.delenv("REPRO_CODEC_MEMO", raising=False)
         fresh = {
-            d: run_workload("mcf", _config(d), PARAMS) for d in self.DESIGNS
+            d: run_workload("mcf", _config(d), PARAMS, store=LineStore())
+            for d in self.DESIGNS
         }
-        synthesized = Counter()
-        sized = Counter()
-        line_data = LineDataFactory.line_data
-        size_kernel = HybridCompressor._size_kernel
-
-        def counting_line_data(self, line_addr):
-            synthesized[(self.key, line_addr)] += 1
-            return line_data(self, line_addr)
-
-        def counting_size_kernel(self, data):
-            sized[data] += 1
-            return size_kernel(self, data)
-
-        monkeypatch.setattr(LineDataFactory, "line_data", counting_line_data)
-        monkeypatch.setattr(
-            HybridCompressor, "_size_kernel", counting_size_kernel
-        )
+        synthesized, sized = _count_synthesis_and_sizing(monkeypatch)
         store = LineStore()
         shared = {
             d: run_workload("mcf", _config(d), PARAMS, store=store)
@@ -137,7 +153,10 @@ class TestSharedStoreRuns:
         config = _config("dice")
         obs.configure(profile=str(tmp_path / "run.prof.json"))
         try:
-            fresh = [run_workload("mcf", config, PARAMS) for _ in range(2)]
+            fresh = [
+                run_workload("mcf", config, PARAMS, store=LineStore())
+                for _ in range(2)
+            ]
             store = LineStore()
             shared = [
                 run_workload("mcf", config, PARAMS, store=store)
@@ -187,6 +206,44 @@ class TestSharedStoreRuns:
         # pair-size miss, and the warm run's pair memo missed nothing
         cold_lookups = cold_memo["hits"] + cold_memo["misses"]
         assert warm_memo["hits"] == cold_lookups - 2 * cold_pairs["misses"]
+
+
+class TestProcessStore:
+    """In-process runs that are handed no store share the process's."""
+
+    PARAMS = SimulationParams(accesses_per_core=200, seed=7)
+
+    def test_a_repeated_run_synthesizes_and_sizes_nothing(
+        self, monkeypatch, empty_process_store
+    ):
+        monkeypatch.delenv("REPRO_CODEC_MEMO", raising=False)
+        config = _config("dice")
+        first = run_workload("mcf", config, self.PARAMS)
+        assert process_store() is empty_process_store
+        assert empty_process_store.lines > 0 and empty_process_store.sizes
+        synthesized, sized = _count_synthesis_and_sizing(monkeypatch)
+        assert run_workload("mcf", config, self.PARAMS) == first
+        assert not synthesized and not sized
+
+    def test_runs_in_any_order_match_fresh_store_runs(
+        self, empty_process_store
+    ):
+        cells = [
+            (workload, design)
+            for workload in ("mcf", "lbm")
+            for design in ("dice", "bai", "scc", "base")
+        ]
+        fresh = {
+            (w, d): run_workload(w, _config(d), self.PARAMS, store=LineStore())
+            for w, d in cells
+        }
+        # workload-major, then design-major from the other end: the first
+        # cell runs on an empty store, every later one on what others left
+        design_major = sorted(cells, key=lambda c: c[::-1], reverse=True)
+        for order in (cells, design_major):
+            for w, d in order:
+                result = run_workload(w, _config(d), self.PARAMS)
+                assert result == fresh[(w, d)], f"{w} x {d}"
 
 
 class TestDispatch:
@@ -268,16 +325,18 @@ def isolated_cache(tmp_path, monkeypatch):
 
 
 def _store_probe(log):
-    """A stand-in executor that logs which store each run received."""
+    """A stand-in executor that logs the lines the process store holds
+    before and after each run."""
 
     def executor(workload, config, params=None, **kwargs):
-        store = kwargs.get("store")
+        before = process_store().lines
+        result = run_workload(workload, config, params, **kwargs)
         with open(log, "a") as fh:
             fh.write(json.dumps({
-                "store": id(store) if isinstance(store, LineStore) else None,
-                "lines": store.lines if isinstance(store, LineStore) else 0,
+                "pid": os.getpid(), "before": before,
+                "after": process_store().lines,
             }) + "\n")
-        return run_workload(workload, config, params, **kwargs)
+        return result
 
     return executor
 
@@ -300,7 +359,9 @@ class TestPooledRuns:
             )
             assert outcome.result == expected, job.describe()
 
-    def test_a_workers_jobs_share_one_store(self, isolated_cache):
+    def test_a_workers_jobs_share_one_store(
+        self, isolated_cache, empty_process_store
+    ):
         log = isolated_cache / "stores.jsonl"
         set_run_executor(_store_probe(log))
         jobs = [
@@ -311,9 +372,12 @@ class TestPooledRuns:
         assert all(o.source == "run" for o in outcomes)
         runs = [json.loads(line) for line in log.read_text().splitlines()]
         assert len(runs) == 3
-        assert runs[0]["store"] is not None
-        assert {run["store"] for run in runs} == {runs[0]["store"]}
-        assert runs[0]["lines"] == 0 < runs[1]["lines"] <= runs[2]["lines"]
+        assert {run["pid"] for run in runs} == {runs[0]["pid"]} != {os.getpid()}
+        # the worker forked from an empty store, and each job starts on
+        # the lines the previous one left
+        assert runs[0]["before"] == 0 < runs[0]["after"]
+        assert runs[1]["before"] == runs[0]["after"]
+        assert runs[2]["before"] == runs[1]["after"]
 
 
 class TestChunkedSynthesis:
