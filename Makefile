@@ -76,6 +76,7 @@ examples:
 	python examples/quickstart.py
 	python examples/compression_explorer.py
 	python examples/trace_replay.py omnetpp 1500
+	python examples/design_space.py sphinx 400
 
 clean:
 	rm -f .sim_cache.json

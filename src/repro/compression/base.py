@@ -13,13 +13,11 @@ Two hot-path facilities live here alongside the abstract interface:
   pure, so each compressor carries a bounded LRU :class:`CodecMemo`
   keyed by the line bytes.  The simulator compresses the same line on
   install, writeback, and probe paths; the memo makes the repeats a
-  dict hit.  Capacity comes from ``REPRO_CODEC_MEMO`` (``0`` disables
-  memoization entirely); results are bit-identical either way.
+  dict hit.  Results are bit-identical to the bare kernels'.
 """
 
 from __future__ import annotations
 
-import os
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Dict, Optional
@@ -27,21 +25,7 @@ from typing import Dict, Optional
 from repro.config import LINE_SIZE
 
 DEFAULT_MEMO_CAPACITY = 1 << 16
-"""Per-compressor memo entries unless ``REPRO_CODEC_MEMO`` overrides."""
-
-
-def memo_capacity_from_env(default: int = DEFAULT_MEMO_CAPACITY) -> int:
-    """Memo capacity from ``REPRO_CODEC_MEMO`` (``0`` disables the memo)."""
-    raw = os.environ.get("REPRO_CODEC_MEMO")
-    if raw is None or raw == "":
-        return default
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(
-            f"REPRO_CODEC_MEMO must be an integer, got {raw!r}"
-        ) from None
-    return max(0, value)
+"""Per-compressor memo entries."""
 
 
 class CodecMemo:
@@ -65,8 +49,8 @@ class CodecMemo:
         capacity: int = DEFAULT_MEMO_CAPACITY,
         sizes: Optional[Dict[bytes, int]] = None,
     ) -> None:
-        if capacity < 0:
-            raise ValueError("memo capacity must be >= 0")
+        if capacity < 1:
+            raise ValueError(f"memo capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self.hits = 0
         self.misses = 0
@@ -170,16 +154,12 @@ class Compressor(ABC):
         """
         return self.compress(data).size
 
-    def _memo_capacity(self) -> int:
-        """Capacity for this instance's memo (env knob hook)."""
-        return memo_capacity_from_env()
-
     @property
     def memo(self) -> CodecMemo:
         """This compressor's memo, created on first access."""
         memo = self._memo
         if memo is None:
-            memo = CodecMemo(self._memo_capacity())
+            memo = CodecMemo()
             self._memo = memo
         return memo
 
@@ -195,9 +175,6 @@ class Compressor(ABC):
         memo = self._memo
         if memo is None:
             memo = self.memo
-        if memo.capacity == 0:
-            check_line(data)
-            return self._size_kernel(data)
         size = memo.get_size(data)
         if size is None:
             check_line(data)

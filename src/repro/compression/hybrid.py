@@ -24,7 +24,6 @@ from repro.compression.base import (
     CompressedLine,
     Compressor,
     check_line,
-    memo_capacity_from_env,
 )
 from repro.compression.bdi import BDICompressor
 from repro.compression.fpc import FPCCompressor
@@ -50,24 +49,12 @@ class HybridCompressor(Compressor):
         if not self.pool:
             raise ValueError("compressor pool must not be empty")
         self._by_name: Dict[str, Compressor] = {c.name: c for c in self.pool}
-        self._cache_size = cache_size
-        if sizes is not None:
-            # a size memo shared with earlier runs: this instance still
-            # counts only its own lookups
-            self._memo = CodecMemo(self._memo_capacity(), sizes)
-
-    def _memo_capacity(self) -> int:
-        # REPRO_CODEC_MEMO wins; the legacy ``cache_size`` argument is the
-        # per-instance default so existing callers keep their bound.
-        return memo_capacity_from_env(self._cache_size)
+        # ``sizes``, when given, is a size memo shared with earlier runs;
+        # this instance still counts only its own lookups
+        self._memo = CodecMemo(cache_size, sizes)
 
     def compress(self, data: bytes) -> CompressedLine:
         memo = self._memo
-        if memo is None:
-            memo = self.memo
-        if memo.capacity == 0:
-            check_line(data)
-            return self._best_line(data)
         line = memo.get_line(data)
         if line is None:
             check_line(data)

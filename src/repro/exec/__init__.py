@@ -33,7 +33,6 @@ from repro.exec.scheduler import (
     JobOutcome,
     last_report,
     resolve_jobs,
-    run_configs,
     run_jobs,
 )
 from repro.exec.supervisor import (
@@ -68,7 +67,6 @@ __all__ = [
     "plan_experiment",
     "reset_cache_health",
     "resolve_jobs",
-    "run_configs",
     "run_jobs",
     "validate_result",
 ]

@@ -14,7 +14,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING, Optional, Tuple
+from typing import TYPE_CHECKING, Mapping, Optional, Tuple, Union
 
 from repro.harness import runner as runner_mod
 from repro.sim.engine import SimulationParams
@@ -50,6 +50,10 @@ class Job:
     # runner module is never touched during the runner <-> exec import cycle
     scale: int = field(default_factory=lambda: runner_mod.DEFAULT_SCALE)
     params: SimulationParams = field(default_factory=SimulationParams)
+    # Sorted (field, value) pairs overriding the named config's
+    # DRAMCacheConfig: a design-space sweep point.  Part of identity and
+    # of the cache key's config digest.
+    l4: runner_mod.L4Overrides = ()
     # Distributed-trace coordinates, attached by the scheduler/daemon when
     # tracing is on.  compare=False keeps identity (eq/hash), cache_key and
     # job_id exactly what they were without a trace — telemetry must never
@@ -69,7 +73,7 @@ class Job:
     def cache_key(self) -> Tuple:
         """The result-cache key tuple (see ``runner._key``)."""
         return runner_mod._key(
-            self.workload, self.config_name, self.scale, self.params
+            self.workload, self.config_name, self.scale, self.params, self.l4
         )
 
     @cached_property
@@ -89,6 +93,8 @@ class Job:
     def describe(self) -> str:
         """Human label for progress lines and failure reports."""
         label = f"{self.workload} × {self.config_name}"
+        if self.l4:
+            label += "[" + ", ".join(f"{k}={v}" for k, v in self.l4) + "]"
         if self.params.fault_rate:
             label += f" @fault={self.params.fault_rate:g}"
         if self.rep:
@@ -98,14 +104,29 @@ class Job:
     def peek(self) -> Optional[SimResult]:
         """This job's cached result, if any (memory or disk)."""
         return runner_mod.peek_cached(
-            self.workload, self.config_name, scale=self.scale, params=self.params
+            self.workload, self.config_name, scale=self.scale,
+            params=self.params, l4=self.l4,
         )
 
     def execute(self) -> SimResult:
         """Run (or fetch) the simulation through the shared result cache."""
         return runner_mod.cached_run(
             self.workload, self.config_name, scale=self.scale,
-            params=self.params,
+            params=self.params, l4=self.l4,
+        )
+
+    def seed(self, result: SimResult) -> None:
+        """Install a result computed elsewhere (a worker) as this job's."""
+        runner_mod.seed_cache(
+            self.workload, self.config_name, result, scale=self.scale,
+            params=self.params, l4=self.l4,
+        )
+
+    def invalidate(self) -> None:
+        """Forget this job's cached result, in memory and on disk."""
+        runner_mod.invalidate(
+            self.workload, self.config_name, scale=self.scale,
+            params=self.params, l4=self.l4,
         )
 
 
@@ -116,12 +137,14 @@ def make_job(
     scale: Optional[int] = None,
     params: Optional[SimulationParams] = None,
     rep: int = 0,
+    l4: Union[Mapping[str, object], runner_mod.L4Overrides] = (),
 ) -> Job:
     """Build a Job, normalizing defaults exactly like ``cached_run`` does.
 
     ``cached_run(params=None)`` substitutes ``SimulationParams(accesses_per_core
     = DEFAULT_ACCESSES)``; the planner must mirror that so planned keys equal
-    executed keys.
+    executed keys.  ``l4`` (a dict or pairs) is stored sorted, so equal
+    overrides make equal jobs.
     """
     return Job(
         workload=workload,
@@ -129,5 +152,6 @@ def make_job(
         scale=runner_mod.DEFAULT_SCALE if scale is None else scale,
         params=params
         or SimulationParams(accesses_per_core=runner_mod.DEFAULT_ACCESSES),
+        l4=tuple(sorted(dict(l4).items())) if l4 else (),
         rep=rep,
     )

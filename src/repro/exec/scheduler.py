@@ -31,7 +31,6 @@ from __future__ import annotations
 import dataclasses
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
@@ -50,10 +49,7 @@ from repro.exec.supervisor import (
     SupervisionReport,
     Supervisor,
     SupervisorPolicy,
-    _mp_context,
 )
-from repro.harness import runner as runner_mod
-from repro.sim.engine import SimulationParams, run_workload
 from repro.sim.metrics import SimResult
 
 
@@ -83,14 +79,6 @@ class JobOutcome:
     @property
     def ok(self) -> bool:
         return self.error is None
-
-
-# -- worker-side entry point (top level: picklable under spawn) --------------
-
-
-def _run_config_item(item) -> SimResult:
-    workload, config, params = item
-    return run_workload(workload, config, params)
 
 
 # -- progress accounting -----------------------------------------------------
@@ -323,10 +311,7 @@ def run_jobs(
             def record(i, result, error, source, attempts):
                 job = jobs[i]
                 if error is None:
-                    runner_mod.seed_cache(
-                        job.workload, job.config_name, result,
-                        scale=job.scale, params=job.params,
-                    )
+                    job.seed(result)
                 elif source == "quarantined":
                     pool.report.quarantined.append(job.describe())
                 outcomes[i] = JobOutcome(job, result, error, source, attempts)
@@ -378,29 +363,3 @@ def _exec_tracer():
     suffix = base.suffix if base.suffix else ".jsonl"
     path = base.with_name(f"{base.stem}.exec{suffix}")
     return obs.Tracer(path, every=every, meta={"scope": "exec"})
-
-
-# -- ad-hoc parallel map for sweeps ------------------------------------------
-
-
-def run_configs(
-    workload: str,
-    configs: Sequence,
-    params: Optional[SimulationParams],
-    *,
-    max_workers: Optional[int] = None,
-) -> List[SimResult]:
-    """Simulate ``workload`` under each explicit :class:`SystemConfig`.
-
-    The parallel backend for :mod:`repro.harness.sweeps`, where configs are
-    ad-hoc field overrides with no stable name (hence no cache entry).
-    Results come back in config order; errors propagate (a sweep without
-    one of its points is not a sweep).
-    """
-    configs = list(configs)
-    workers = min(resolve_jobs(max_workers), max(1, len(configs)))
-    items = [(workload, config, params) for config in configs]
-    if workers <= 1 or len(configs) <= 1:
-        return [_run_config_item(item) for item in items]
-    with ProcessPoolExecutor(max_workers=workers, mp_context=_mp_context()) as pool:
-        return list(pool.map(_run_config_item, items))

@@ -64,7 +64,6 @@ from repro.chaos import ledger as ledger_mod
 from repro.chaos import controller as chaos_controller
 from repro.chaos.policy import ChaosPolicy
 from repro.exec.job import Job
-from repro.harness import runner as runner_mod
 from repro.obs import telemetry
 from repro.sim.metrics import SimResult
 
@@ -274,15 +273,9 @@ def _supervised_execute(
     if problem is not None:
         # The poisoned value reached the cache inside job.execute();
         # scrub it here, where we still know it is poisoned.
-        _invalidate(job)
+        job.invalidate()
         raise CorruptResultError(f"corrupt result: {problem}")
     return result
-
-
-def _invalidate(job: Job) -> None:
-    runner_mod.invalidate(
-        job.workload, job.config_name, scale=job.scale, params=job.params
-    )
 
 
 def _mp_context():
@@ -602,7 +595,7 @@ class Supervisor:
                     # Parent-side belt and braces: a worker whose own
                     # validation was corrupted still cannot poison the
                     # campaign.
-                    _invalidate(ticket.job)
+                    ticket.job.invalidate()
                     self._corrupt(ticket, f"corrupt result: {problem}")
         if broken:
             self._rebuild(broken, crashed=True)

@@ -1,7 +1,8 @@
 """Campaign execution: prefetch, then render each experiment in turn.
 
-A figure-regeneration campaign (``cli all``) is hours of simulation at
-paper fidelity.  It stays restartable through the result cache alone:
+A figure-regeneration campaign (``cli all``, or one experiment such as
+``cli fig13``) can be hours of simulation at paper fidelity.  It stays
+restartable through the result cache alone:
 
 * :func:`prefetch_experiments` is the bridge to the execution engine
   (:mod:`repro.exec`): it plans the simulations a set of experiments

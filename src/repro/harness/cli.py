@@ -19,10 +19,11 @@ Usage::
     python -m repro.harness.cli cache-info
 
 Results are cached on disk, so regenerating a second figure that shares
-configurations with the first is nearly instant.  The cache is also how
-``all`` resumes: a killed campaign re-runs only the simulations that had
-not finished, then renders every table again from the cache, so its
-output is the same as an uninterrupted run's.
+configurations with the first is nearly instant.  An experiment command,
+or ``all``, runs as one campaign, and the cache is how it resumes: a
+killed or stopped campaign re-runs only the simulations that had not
+finished, then renders every table again from the cache, so its output
+is the same as an uninterrupted run's.
 
 Every simulation runs on one supervised worker pool: ``--jobs N``
 (default: the ``REPRO_JOBS`` environment variable, else the machine's CPU
@@ -100,24 +101,39 @@ def _accesses(text: str) -> int:
     return value
 
 
+def _experiment_keys(text: str) -> List[str]:
+    """A comma-separated list of experiment keys (empty items dropped);
+    an unknown key is a usage error."""
+    keys = [key for key in text.split(",") if key]
+    unknown = [key for key in keys if key not in EXPERIMENTS]
+    if unknown:
+        raise argparse.ArgumentTypeError(
+            f"unknown experiment(s): {', '.join(unknown)}"
+        )
+    return keys
+
+
 def _accesses_or_default(
     parser: argparse.ArgumentParser, accesses: Optional[int]
 ) -> int:
     """``--accesses``, else the ``REPRO_ACCESSES`` default.
 
     The defaults are read from the environment at import, so an
-    environment value below 1 (``REPRO_SCALE`` always, ``REPRO_ACCESSES``
-    when the flag is absent) is a usage error here, as the flag's is.
+    environment value below 1 or not an integer (``REPRO_SCALE`` always,
+    ``REPRO_ACCESSES`` when the flag is absent) is a usage error here, as
+    the flag's is.
     """
     from repro.harness.runner import DEFAULT_ACCESSES, DEFAULT_SCALE
 
-    if DEFAULT_SCALE < 1:
-        parser.error(f"REPRO_SCALE must be >= 1, got {DEFAULT_SCALE}")
+    def check(name: str, value: int) -> int:
+        if value < 1:
+            parser.error(f"{name} must be >= 1, got {os.environ.get(name)}")
+        return value
+
+    check("REPRO_SCALE", DEFAULT_SCALE)
     if accesses is not None:
         return accesses
-    if DEFAULT_ACCESSES < 1:
-        parser.error(f"REPRO_ACCESSES must be >= 1, got {DEFAULT_ACCESSES}")
-    return DEFAULT_ACCESSES
+    return check("REPRO_ACCESSES", DEFAULT_ACCESSES)
 
 
 def run_one(key: str, params: SimulationParams) -> None:
@@ -230,6 +246,7 @@ def _chaos_command(argv: List[str]) -> int:
     )
     parser.add_argument(
         "--experiments",
+        type=_experiment_keys,
         default="fig13",
         help="comma-separated experiment keys to plan jobs from "
         "(default: fig13 — the smoke campaign)",
@@ -262,10 +279,7 @@ def _chaos_command(argv: List[str]) -> int:
     if not 0.0 <= args.chaos_rate <= 1.0:
         parser.error("--chaos-rate must be in [0, 1]")
 
-    keys = [k for k in args.experiments.split(",") if k]
-    unknown = [k for k in keys if k not in EXPERIMENTS]
-    if unknown:
-        parser.error(f"unknown experiment(s): {', '.join(unknown)}")
+    keys = args.experiments
     params = SimulationParams(
         accesses_per_core=_accesses_or_default(parser, args.accesses),
         seed=args.seed,
@@ -695,6 +709,7 @@ def _report_command(argv: List[str]) -> int:
     )
     parser.add_argument(
         "--experiments",
+        type=_experiment_keys,
         default=None,
         help="comma-separated experiment keys (default: all)",
     )
@@ -704,12 +719,7 @@ def _report_command(argv: List[str]) -> int:
     if args.repetitions < 1:
         parser.error("--repetitions must be >= 1")
 
-    experiments = None
-    if args.experiments:
-        experiments = [k for k in args.experiments.split(",") if k]
-        unknown = [k for k in experiments if k not in EXPERIMENTS]
-        if unknown:
-            parser.error(f"unknown experiment(s): {', '.join(unknown)}")
+    experiments = args.experiments or None
 
     params = SimulationParams(
         accesses_per_core=_accesses_or_default(parser, args.accesses),
@@ -961,6 +971,7 @@ def _submit_command(argv: List[str]) -> int:
     )
     parser.add_argument(
         "experiments",
+        type=_experiment_keys,
         help="comma-separated experiment keys (e.g. fig13 or fig10,table4)",
     )
     parser.add_argument("--host", default="127.0.0.1")
@@ -1005,12 +1016,9 @@ def _submit_command(argv: List[str]) -> int:
     )
     parser.add_argument("--timeout", type=float, default=600.0)
     args = parser.parse_args(argv)
-    keys = [k for k in args.experiments.split(",") if k]
+    keys = args.experiments
     if not keys:
         parser.error("no experiment keys given")
-    unknown = [k for k in keys if k not in EXPERIMENTS]
-    if unknown:
-        parser.error(f"unknown experiment(s): {', '.join(unknown)}")
     if args.repetitions < 1:
         parser.error("--repetitions must be >= 1")
     run_table = args.run_table
@@ -1259,26 +1267,25 @@ def _cache_info_command(argv: List[str]) -> int:
     return EXIT_OK
 
 
+# Subcommands with parsers of their own, dispatched before experiment
+# parsing: observability, the chaos campaign, the service and its client,
+# and cache introspection.
+_SUBCOMMANDS = {
+    "trace": _trace_command,
+    "manifest": _manifest_command,
+    "report": _report_command,
+    "chaos": _chaos_command,
+    "serve": _serve_command,
+    "submit": _submit_command,
+    "slo": _slo_command,
+    "cache-info": _cache_info_command,
+}
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # observability subcommands, dispatched before experiment parsing
-    if argv and argv[0] == "trace":
-        return _trace_command(argv[1:])
-    if argv and argv[0] == "manifest":
-        return _manifest_command(argv[1:])
-    if argv and argv[0] == "report":
-        return _report_command(argv[1:])
-    if argv and argv[0] == "chaos":
-        return _chaos_command(argv[1:])
-    # service subcommands: the daemon, its client, and cache introspection
-    if argv and argv[0] == "serve":
-        return _serve_command(argv[1:])
-    if argv and argv[0] == "submit":
-        return _submit_command(argv[1:])
-    if argv and argv[0] == "slo":
-        return _slo_command(argv[1:])
-    if argv and argv[0] == "cache-info":
-        return _cache_info_command(argv[1:])
+    if argv and argv[0] in _SUBCOMMANDS:
+        return _SUBCOMMANDS[argv[0]](argv[1:])
 
     parser = argparse.ArgumentParser(
         prog="repro.harness.cli",
@@ -1336,6 +1343,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--experiments",
+        type=_experiment_keys,
         default=None,
         metavar="KEYS",
         help="with `all`: restrict the campaign to these comma-separated "
@@ -1436,53 +1444,43 @@ def main(argv=None) -> int:
         parser.error("--deadline must be positive")
     supervisor = SupervisorPolicy(deadline=args.deadline)
 
+    # One experiment, or `all` (restricted by --experiments), runs as one
+    # campaign: prefetch every simulation, then render each table, with
+    # SIGTERM/SIGINT stopping it gracefully (exit 5) at either stage.
     if args.experiment == "all":
-        keys = list(EXPERIMENTS)
-        if args.experiments:
-            keys = [k for k in args.experiments.split(",") if k]
-            unknown = [k for k in keys if k not in EXPERIMENTS]
-            if unknown:
-                parser.error(f"unknown experiment(s): {', '.join(unknown)}")
-        shutdown = ShutdownFlag()
-        with graceful_signals(shutdown):
-            status = _prefetch(
-                keys, params, args.jobs,
-                supervisor=supervisor, chaos=chaos, shutdown=shutdown,
-                repetitions=args.repetitions, run_table=run_table,
-            )
-            if status != EXIT_OK:
-                return status
-            campaign = Campaign(
-                [(key, lambda k=key: run_one(k, params)) for key in keys],
-                repetitions=(
-                    {key: args.repetitions for key in keys}
-                    if args.repetitions > 1
-                    else None
-                ),
-            )
-            campaign.run(should_stop=lambda: shutdown.requested)
-            if campaign.interrupted:
-                print(
-                    f"interrupted: campaign stopped after "
-                    f"{len(campaign.completed)} of {len(campaign.steps)} "
-                    f"experiments; re-run to resume",
-                    file=sys.stderr,
-                )
-                return EXIT_INTERRUPTED
-            # per-step timings feed `report --flight`'s campaign section
-            campaign.write_flight_data()
-        return EXIT_OK
-
-    if args.experiment not in EXPERIMENTS:
+        keys = args.experiments or list(EXPERIMENTS)
+    elif args.experiment in EXPERIMENTS:
+        keys = [args.experiment]
+    else:
         parser.error(f"unknown experiment {args.experiment!r}; try `list`")
-    status = _prefetch(
-        [args.experiment], params, args.jobs,
-        supervisor=supervisor, chaos=chaos,
-        repetitions=args.repetitions, run_table=run_table,
-    )
-    if status != EXIT_OK:
-        return status
-    run_one(args.experiment, params)
+    shutdown = ShutdownFlag()
+    with graceful_signals(shutdown):
+        status = _prefetch(
+            keys, params, args.jobs,
+            supervisor=supervisor, chaos=chaos, shutdown=shutdown,
+            repetitions=args.repetitions, run_table=run_table,
+        )
+        if status != EXIT_OK:
+            return status
+        campaign = Campaign(
+            [(key, lambda k=key: run_one(k, params)) for key in keys],
+            repetitions=(
+                {key: args.repetitions for key in keys}
+                if args.repetitions > 1
+                else None
+            ),
+        )
+        campaign.run(should_stop=lambda: shutdown.requested)
+        if campaign.interrupted:
+            print(
+                f"interrupted: campaign stopped after "
+                f"{len(campaign.completed)} of {len(campaign.steps)} "
+                f"experiments; re-run to resume",
+                file=sys.stderr,
+            )
+            return EXIT_INTERRUPTED
+        # per-step timings feed `report --flight`'s campaign section
+        campaign.write_flight_data()
     return EXIT_OK
 
 

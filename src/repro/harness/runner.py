@@ -33,10 +33,25 @@ from repro.obs.manifest import MODEL_DIGEST, config_digest
 from repro.sim.engine import SimulationParams, run_workload
 from repro.sim.metrics import SimResult
 
-DEFAULT_SCALE = int(os.environ.get("REPRO_SCALE", 4096))
+L4Overrides = Tuple[Tuple[str, object], ...]
+"""Sorted ``(field, value)`` pairs that override a named config's
+``DRAMCacheConfig`` (a design-space sweep point); ``()`` overrides none."""
+
+
+def _env_int(name: str, default: int) -> int:
+    """``name``'s value, else ``default``.  A value that is not an integer
+    reads as 0: below 1, so a command that takes the default rejects it
+    (``cli`` exits 2 naming the variable) and one that does not runs."""
+    try:
+        return int(os.environ.get(name, default))
+    except ValueError:
+        return 0
+
+
+DEFAULT_SCALE = _env_int("REPRO_SCALE", 4096)
 """Capacity scale factor vs the paper machine (see DESIGN.md Sec 5)."""
 
-DEFAULT_ACCESSES = int(os.environ.get("REPRO_ACCESSES", 6000))
+DEFAULT_ACCESSES = _env_int("REPRO_ACCESSES", 6000)
 """L3 accesses simulated per core (raise for higher-fidelity runs)."""
 
 _DISK_CACHE = os.environ.get("REPRO_DISK_CACHE", "1") != "0"
@@ -131,25 +146,31 @@ PREFETCH_CONFIGS = {
 }
 
 
-def resolve_config(name: str, scale: int = DEFAULT_SCALE) -> SystemConfig:
-    """Config by name, including the prefetch-variant names."""
+def resolve_config(
+    name: str, scale: int = DEFAULT_SCALE, l4: L4Overrides = ()
+) -> SystemConfig:
+    """Config by name, including the prefetch-variant names, with its
+    L4 fields overridden by ``l4``."""
     if name in PREFETCH_CONFIGS:
         base_name, mode = PREFETCH_CONFIGS[name]
         cfg = make_config(base_name, scale)
-        return dataclasses.replace(cfg, l3_prefetch=mode, name=name)
-    if name not in STANDARD_CONFIGS:
+        cfg = dataclasses.replace(cfg, l3_prefetch=mode, name=name)
+    elif name in STANDARD_CONFIGS:
+        cfg = make_config(name, scale)
+    else:
         known = sorted([*STANDARD_CONFIGS, *PREFETCH_CONFIGS])
         raise KeyError(f"unknown config {name!r}; known: {', '.join(known)}")
-    return make_config(name, scale)
+    return cfg.with_l4(**dict(l4)) if l4 else cfg
 
 
 # ---------------------------------------------------------------------------
 # result cache
 
 _memory_cache: Dict[Tuple, SimResult] = {}
-# (config name, scale) -> config digest: a digest costs 80-130 us on a
-# 2-core Xeon VM, and a warm daemon submission keys every job it holds
-_config_digests: Dict[Tuple[str, int], str] = {}
+# (config name, scale, L4 overrides) -> config digest: a digest costs
+# 80-130 us on a 2-core Xeon VM, and a warm daemon submission keys every
+# job it holds
+_config_digests: Dict[Tuple[str, int, L4Overrides], str] = {}
 
 # The executor actually invoked for uncached simulations: `run_workload`,
 # unless a test injects a stand-in (a flaky or counting executor) through
@@ -163,22 +184,31 @@ def set_run_executor(executor: Optional[Callable[..., SimResult]]) -> None:
     _run_executor = executor if executor is not None else run_workload
 
 
-def named_config_digest(config_name: str, scale: int) -> str:
+def named_config_digest(
+    config_name: str, scale: int, l4: L4Overrides = ()
+) -> str:
     """Digest of the resolved config, memoized per process; raises
     ``KeyError`` for an unknown name."""
-    digest = _config_digests.get((config_name, scale))
+    digest = _config_digests.get((config_name, scale, l4))
     if digest is None:
-        digest = config_digest(resolve_config(config_name, scale))
-        _config_digests[(config_name, scale)] = digest
+        digest = config_digest(resolve_config(config_name, scale, l4))
+        _config_digests[(config_name, scale, l4)] = digest
     return digest
 
 
-def _key(workload: str, config_name: str, scale: int, params: SimulationParams) -> Tuple:
+def _key(
+    workload: str,
+    config_name: str,
+    scale: int,
+    params: SimulationParams,
+    l4: L4Overrides = (),
+) -> Tuple:
     """What was simulated: workload, config content, every run parameter
-    and the model code.  Config name and scale are inside the digest."""
+    and the model code.  Config name, scale and L4 overrides are inside
+    the digest."""
     return (
         workload,
-        named_config_digest(config_name, scale),
+        named_config_digest(config_name, scale, l4),
         params.accesses_per_core,
         params.warmup_fraction,
         params.seed,
@@ -252,10 +282,11 @@ def peek_cached(
     *,
     scale: int = DEFAULT_SCALE,
     params: Optional[SimulationParams] = None,
+    l4: L4Overrides = (),
 ) -> Optional[SimResult]:
     """The cached result for this run, or None — never simulates."""
     params = params or SimulationParams(accesses_per_core=DEFAULT_ACCESSES)
-    return _lookup(_key(workload, config_name, scale, params))
+    return _lookup(_key(workload, config_name, scale, params, l4))
 
 
 def seed_cache(
@@ -265,6 +296,7 @@ def seed_cache(
     *,
     scale: int = DEFAULT_SCALE,
     params: Optional[SimulationParams] = None,
+    l4: L4Overrides = (),
 ) -> None:
     """Install an externally computed result (e.g. from a worker process).
 
@@ -273,7 +305,7 @@ def seed_cache(
     entirely from memory.
     """
     params = params or SimulationParams(accesses_per_core=DEFAULT_ACCESSES)
-    key = _key(workload, config_name, scale, params)
+    key = _key(workload, config_name, scale, params, l4)
     _memory_cache[key] = result
     if not _DISK_CACHE:
         return
@@ -290,14 +322,15 @@ def cached_run(
     *,
     scale: int = DEFAULT_SCALE,
     params: Optional[SimulationParams] = None,
+    l4: L4Overrides = (),
 ) -> SimResult:
     """Run (or fetch) one simulation."""
     params = params or SimulationParams(accesses_per_core=DEFAULT_ACCESSES)
-    key = _key(workload, config_name, scale, params)
+    key = _key(workload, config_name, scale, params, l4)
     found = _lookup(key)
     if found is not None:
         return found
-    config = resolve_config(config_name, scale)
+    config = resolve_config(config_name, scale, l4)
     result = _run_executor(workload, config, params)
     _memory_cache[key] = result
     if _DISK_CACHE:
@@ -319,6 +352,7 @@ def invalidate(
     *,
     scale: int = DEFAULT_SCALE,
     params: Optional[SimulationParams] = None,
+    l4: L4Overrides = (),
 ) -> None:
     """Forget one cached result everywhere: memory and disk.
 
@@ -327,7 +361,7 @@ def invalidate(
     to be served to the retry, or to any later campaign.
     """
     params = params or SimulationParams(accesses_per_core=DEFAULT_ACCESSES)
-    key = _key(workload, config_name, scale, params)
+    key = _key(workload, config_name, scale, params, l4)
     _memory_cache.pop(key, None)
     if _DISK_CACHE:
         _store().remove(json.dumps(key))

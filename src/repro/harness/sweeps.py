@@ -5,18 +5,21 @@ overrides (thresholds, CIP sizes, tag sharing, victim policy, ...) and
 reports speedups over a shared baseline — the machinery behind the paper's
 Table 4-style sensitivity studies, exposed for ad-hoc exploration.
 
-Sweep points are independent simulations, so they fan out across worker
-processes (``jobs=`` / ``REPRO_JOBS``, defaulting to the CPU count) via
-:func:`repro.exec.run_configs`; results come back in override order, so a
-parallel sweep is indistinguishable from a serial one.
+Each sweep point is a :class:`~repro.exec.Job` whose ``l4`` field holds
+its overrides, so points run like any campaign's jobs: through
+:func:`repro.exec.run_jobs` on a supervised pool of ``jobs=`` worker
+processes (``REPRO_JOBS``, defaulting to the CPU count), cached under a
+key that includes the overrides, and resumable.  Results come back in
+override order, so a parallel sweep is indistinguishable from a serial
+one.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.exec import run_configs
-from repro.harness.runner import DEFAULT_SCALE, resolve_config
+from repro.exec import make_job, run_jobs
+from repro.harness.runner import DEFAULT_SCALE
 from repro.sim.engine import SimulationParams
 from repro.sim.metrics import SimResult
 
@@ -35,18 +38,25 @@ def sweep_l4(
 
     Returns ``(override, speedup_over_baseline, result)`` per point.
     ``jobs`` bounds the worker processes (None: ``REPRO_JOBS`` or the CPU
-    count; 1 runs in-process).
+    count).  Raises ``RuntimeError`` naming every point that failed: a
+    sweep without one of its points is not a sweep.
     """
     params = params or SimulationParams()
-    configs = [resolve_config(baseline, scale)] + [
-        resolve_config(base_config, scale).with_l4(**override)
+    points = [make_job(workload, baseline, scale=scale, params=params)] + [
+        make_job(workload, base_config, scale=scale, params=params, l4=override)
         for override in overrides
     ]
-    results = run_configs(workload, configs, params, max_workers=jobs)
-    ref, rest = results[0], results[1:]
+    outcomes = run_jobs(points, max_workers=jobs)
+    failed = [outcome for outcome in outcomes if not outcome.ok]
+    if failed:
+        raise RuntimeError(
+            "sweep point(s) failed: "
+            + "; ".join(f"{o.job.describe()}: {o.error}" for o in failed)
+        )
+    ref, rest = outcomes[0].result, outcomes[1:]
     return [
-        (override, result.weighted_speedup_over(ref), result)
-        for override, result in zip(overrides, rest)
+        (override, outcome.result.weighted_speedup_over(ref), outcome.result)
+        for override, outcome in zip(overrides, rest)
     ]
 
 

@@ -328,10 +328,7 @@ class SimService:
             result = runner_mod._result_from_dict(payload)
         except runner_mod.CacheEntryError:
             return None  # schema drift: re-simulate rather than serve it
-        runner_mod.seed_cache(
-            job.workload, job.config_name, result,
-            scale=job.scale, params=job.params,
-        )
+        job.seed(result)
         return result
 
     def _payload_for(self, job: Job, result: SimResult) -> Dict[str, object]:
@@ -580,10 +577,7 @@ class SimService:
                 parent_id=job.trace.parent_id,
             )
         if result is not None and error is None:
-            runner_mod.seed_cache(
-                job.workload, job.config_name, result,
-                scale=job.scale, params=job.params,
-            )
+            job.seed(result)
             payload = self._payload_for(job, result)
             self.store.put(json.dumps(job.cache_key), payload)
             self._m_executed.inc()

@@ -1,4 +1,4 @@
-"""Multi-core simulation loop and the per-run entry point.
+"""The multi-core simulation loop and its two entry points.
 
 Cores execute in a global-time-ordered loop (the earliest core issues next),
 so contention for the shared L3, DRAM-cache banks and DDR bus emerges from
@@ -10,9 +10,11 @@ stand-in for out-of-order overlap (bounded memory-level parallelism).
 from __future__ import annotations
 
 import heapq
+import sys
 import time
 from dataclasses import dataclass
-from typing import List, Optional
+from itertools import islice
+from typing import Callable, Iterator, List, Optional, Tuple
 
 from repro import obs
 from repro.config import SystemConfig
@@ -103,6 +105,11 @@ class _DataRouter:
         return self._generators[core].line_data(line_addr)
 
 
+_Sources = Tuple[MemorySystem, List[Iterator[list]], List[int], List[int]]
+"""A run's memory system and, per core, its chunk iterator, access quota
+and warmup access count (what :func:`_drive` loops over)."""
+
+
 def run_workload(
     workload: str,
     config: SystemConfig,
@@ -119,45 +126,126 @@ def run_workload(
     """
     params = params or SimulationParams()
     store = store if store is not None else process_store()
-    run_obs = obs.begin_run(f"{workload}x{config.name}")
+
+    def sources(run_obs) -> _Sources:
+        generators = _build_generators(workload, config, params, store)
+        system = MemorySystem(
+            config,
+            _DataRouter(generators),
+            fault_injector=_build_injector(config, params),
+            obs=run_obs,
+            store=store,
+        )
+        # Access quotas are instruction-matched: every core targets the
+        # same instruction count (like the paper's 4B-instructions-per-
+        # benchmark rule), so a mix's low-intensity cores serve
+        # proportionally fewer accesses and all cores finish at comparable
+        # simulated times.
+        max_apki = max(g.profile.l3_apki for g in generators)
+        quotas = [
+            max(64, int(params.accesses_per_core * g.profile.l3_apki / max_apki))
+            for g in generators
+        ]
+        warmups = [int(q * params.warmup_fraction) for q in quotas]
+        chunks = [g.chunks(TraceGenerator.DEFAULT_CHUNK) for g in generators]
+        return system, chunks, quotas, warmups
+
+    return _drive(workload, config, params, energy_params, sources)
+
+
+def run_trace(
+    trace,
+    config: SystemConfig,
+    *,
+    name: str = "trace",
+    warmup_fraction: float = 0.0,
+    energy_params: EnergyParams = EnergyParams(),
+) -> SimResult:
+    """Replay a recorded trace (see :mod:`repro.trace`) on one core.
+
+    ``trace`` is anything iterable of Access records that also provides
+    ``line_data(addr)`` for initial memory contents (a
+    :class:`~repro.trace.RecordedTrace` does); a plain iterable works too,
+    with untouched memory reading as zeros.
+
+    The trace is one core's source for the loop :func:`run_workload`
+    runs, read in chunks; the core's quota is the trace's length, learned
+    when the last chunk is read.  So the trace is *streamed*: it is only
+    materialized when a warmup window is requested on a trace that does
+    not know its own length.
+    """
+    line_data = getattr(trace, "line_data", lambda _addr: bytes(64))
+    warmup = 0
+    if warmup_fraction > 0.0:
+        try:
+            total = len(trace)
+        except TypeError:
+            trace = list(trace)
+            total = len(trace)
+        warmup = int(total * warmup_fraction)
+
+    def sources(run_obs) -> _Sources:
+        system = MemorySystem(config, line_data, obs=run_obs)
+        quotas = [sys.maxsize]  # until the last chunk is read
+        return system, [_trace_chunks(trace, quotas)], quotas, [warmup]
+
+    return _drive(name, config, None, energy_params, sources)
+
+
+def _trace_chunks(trace, quotas: List[int]) -> Iterator[list]:
+    """``trace`` in chunks for the loop's one core.  Reading the last chunk
+    sets ``quotas[0]`` to the trace's length; an empty trace raises."""
+    size = TraceGenerator.DEFAULT_CHUNK
+    accesses = iter(trace)
+    chunk = list(islice(accesses, size))
+    if not chunk:
+        raise ValueError("trace is empty")
+    total = 0
+    while chunk:
+        total += len(chunk)
+        following = list(islice(accesses, size))
+        if not following:
+            quotas[0] = total
+        yield chunk
+        chunk = following
+
+
+def _drive(
+    name: str,
+    config: SystemConfig,
+    params: Optional[SimulationParams],
+    energy_params: EnergyParams,
+    sources: Callable[..., _Sources],
+) -> SimResult:
+    """Run the cores of one simulation to their quotas; the result.
+
+    ``sources(run_obs)`` builds the run's memory system and per-core
+    sources (see :data:`_Sources`); it is called here because the memory
+    system needs the run's observability and its set-up belongs to the
+    run's ``sim`` profiler frame.  Each core's measurement window opens
+    after its warmup accesses (at its first access for a warmup of 0) and
+    closes at its quota.  ``params`` (None for a trace replay) goes into
+    the manifest.
+    """
+    run_obs = obs.begin_run(f"{name}x{config.name}")
     tracer = run_obs.tracer
     prof = run_obs.profiler
     started = time.perf_counter()
     if prof.enabled:
         prof.enter("sim")
-    generators = _build_generators(workload, config, params, store)
-    system = MemorySystem(
-        config,
-        _DataRouter(generators),
-        fault_injector=_build_injector(config, params),
-        obs=run_obs,
-        store=store,
-    )
-    tracer.set_phase("warmup")
+    system, chunk_iters, quotas, warmups = sources(run_obs)
 
-    num_cores = config.core.num_cores
+    num_cores = len(quotas)
     ipc = config.core.base_ipc
     mlp = config.core.mlp
-    # Access quotas are instruction-matched: every core targets the same
-    # instruction count (like the paper's 4B-instructions-per-benchmark
-    # rule), so a mix's low-intensity cores serve proportionally fewer
-    # accesses and all cores finish at comparable simulated times.
-    max_apki = max(g.profile.l3_apki for g in generators)
-    quotas = [
-        max(64, int(params.accesses_per_core * g.profile.l3_apki / max_apki))
-        for g in generators
-    ]
-    warmups = [int(q * params.warmup_fraction) for q in quotas]
-
     times = [0.0] * num_cores
     insts = [0] * num_cores
     served = [0] * num_cores
-    # Chunked synthesis: each core refills a preallocated buffer of trace
-    # records in batches, replacing a generator resume per access with a
-    # list index.  The access sequence is identical (chunks() drains the
-    # same iterator), so results are too.
+    # Chunked synthesis: each core refills a buffer of trace records in
+    # batches, replacing a generator resume per access with a list index.
+    # The access sequence is identical (chunks() drains the same
+    # iterator), so results are too.
     chunk = TraceGenerator.DEFAULT_CHUNK
-    chunk_iters = [g.chunks(chunk) for g in generators]
     if prof.enabled:
         # one workload.gen frame per chunk refill; the memory system has
         # wrapped its own handle_access in system.access frames
@@ -176,15 +264,18 @@ def run_workload(
     # benchmarks ... execute at least 4 billion instructions each"), cores
     # that finish keep running to maintain contention, and each core's IPC
     # covers its own warmup->quota window.
-    warm_times: List[Optional[float]] = [None] * num_cores
+    warm_times: List[Optional[float]] = [
+        0.0 if warmup == 0 else None for warmup in warmups
+    ]
     warm_insts: List[int] = [0] * num_cores
     end_times: List[Optional[float]] = [None] * num_cores
     end_insts: List[int] = [0] * num_cores
     capacity_samples: List[int] = []
     sample_every = CAPACITY_SAMPLE_EVERY
     accesses_since_sample = 0
-    stats_reset_done = False
+    stats_reset_done = all(w is not None for w in warm_times)
     reset_cycle = 0
+    tracer.set_phase("measure" if stats_reset_done else "warmup")
 
     while heap:
         _, core = heapq.heappop(heap)
@@ -257,7 +348,7 @@ def run_workload(
     capacity = (sum(capacity_samples) / len(capacity_samples)) / l4.config.num_sets
 
     result = SimResult(
-        workload=workload,
+        workload=name,
         config_name=config.name,
         cycles=window_cycles,
         instructions=window_insts,
@@ -288,7 +379,7 @@ def run_workload(
         result.ecc_detected_refetches = stats.ecc_detected_refetches
         result.silent_corruptions = stats.silent_corruptions
     result.manifest = obs.build_manifest(
-        workload, config, params, elapsed_s=time.perf_counter() - started
+        name, config, params, elapsed_s=time.perf_counter() - started
     )
     if tracer.enabled:
         end_cycle = int(max(e for e in end_times if e is not None))
@@ -299,117 +390,5 @@ def run_workload(
         )
     if prof.enabled:
         prof.exit(int(window_cycles))  # close the root "sim" frame
-    obs.finish_run(run_obs, result.manifest)
-    return result
-
-
-def run_trace(
-    trace,
-    config: SystemConfig,
-    *,
-    name: str = "trace",
-    warmup_fraction: float = 0.0,
-    energy_params: EnergyParams = EnergyParams(),
-) -> SimResult:
-    """Replay a recorded trace (see :mod:`repro.trace`) on one core.
-
-    ``trace`` is anything iterable of Access records that also provides
-    ``line_data(addr)`` for initial memory contents (a
-    :class:`~repro.trace.RecordedTrace` does); a plain iterable works too,
-    with untouched memory reading as zeros.
-
-    The trace is *streamed*: it is only materialized when a warmup window
-    is requested on a trace that does not know its own length (replaying a
-    multi-gigabyte recorded trace no longer builds a Python list of it).
-    Warmup and measurement windows are emitted as ``sim.warmup`` /
-    ``sim.measure`` tracer spans, mirroring :func:`run_workload`.
-    """
-    line_data = getattr(trace, "line_data", lambda _addr: bytes(64))
-    run_obs = obs.begin_run(f"{name}x{config.name}")
-    tracer = run_obs.tracer
-    prof = run_obs.profiler
-    started = time.perf_counter()
-    if prof.enabled:
-        prof.enter("sim")
-    system = MemorySystem(config, line_data, obs=run_obs)
-    ipc = config.core.base_ipc
-    mlp = config.core.mlp
-
-    accesses = trace
-    warmup = 0
-    if warmup_fraction > 0.0:
-        try:
-            total = len(trace)
-        except TypeError:
-            accesses = list(trace)
-            total = len(accesses)
-        warmup = int(total * warmup_fraction)
-    tracer.set_phase("warmup" if warmup > 0 else "measure")
-    now = 0.0
-    insts = 0
-    warm_time = 0.0
-    warm_insts = 0
-    reset_cycle = 0
-    count = 0
-    for access in accesses:
-        if count == warmup and warmup > 0:
-            warm_time, warm_insts = now, insts
-            system.reset_stats()
-            reset_cycle = int(now)
-            if tracer.enabled:
-                tracer.span(
-                    "sim.warmup", "sim", 0, max(1, reset_cycle),
-                    accesses=warmup,
-                )
-            tracer.set_phase("measure")
-        t = now + access.inst_gap / ipc
-        finish = system.handle_access(access, int(t))
-        now = t + max(0.0, (finish - t) / mlp)
-        insts += access.inst_gap
-        count += 1
-    if count == 0:
-        raise ValueError("trace is empty")
-    time_end = now
-
-    cycles = max(1.0, time_end - warm_time)
-    window_insts = insts - warm_insts
-    l4 = system.l4
-    energy = total_energy_nj(
-        cycles,
-        l4.device.total_accesses,
-        l4.device.total_bytes_transferred,
-        system.memory.device.total_accesses,
-        system.memory.device.total_bytes_transferred,
-        energy_params,
-    )
-    result = SimResult(
-        workload=name,
-        config_name=config.name,
-        cycles=cycles,
-        instructions=window_insts,
-        per_core_ipc=[window_insts / cycles],
-        l3_hit_rate=system.hierarchy.hit_rate,
-        l4_hit_rate=l4.hit_rate,
-        l4_accesses=l4.device.total_accesses,
-        l4_bytes=l4.device.total_bytes_transferred,
-        mem_accesses=system.memory.device.total_accesses,
-        mem_bytes=system.memory.device.total_bytes_transferred,
-        energy_nj=energy,
-        effective_capacity=l4.valid_line_count() / l4.config.num_sets,
-        mapi_accuracy=system.mapi.accuracy,
-        l3_bonus_installs=system.hierarchy.bonus_installs,
-        l3_bonus_hits=system.hierarchy.bonus_hits,
-    )
-    result.manifest = obs.build_manifest(
-        name, config, elapsed_s=time.perf_counter() - started
-    )
-    if tracer.enabled:
-        tracer.span(
-            "sim.measure", "sim", reset_cycle,
-            max(1, int(time_end) - reset_cycle),
-            instructions=window_insts,
-        )
-    if prof.enabled:
-        prof.exit(int(cycles))
     obs.finish_run(run_obs, result.manifest)
     return result

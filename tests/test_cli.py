@@ -16,8 +16,10 @@ from repro.harness.runner import clear_cache
 
 
 @pytest.fixture(autouse=True)
-def no_disk_cache(monkeypatch):
+def no_disk_cache(monkeypatch, tmp_path):
     monkeypatch.setattr(runner_mod, "_DISK_CACHE", False)
+    # an experiment command writes .campaign_flight.json in its cwd
+    monkeypatch.chdir(tmp_path)
     clear_cache()
     yield
     clear_cache()
@@ -137,11 +139,16 @@ def _cli(args, env=None, **kwargs):
         ({"REPRO_ACCESSES": "0"}, ["serve", "--port", "0"]),
         ({"REPRO_SCALE": "0"}, ["fig13", "--accesses", "100"]),
         ({"REPRO_SCALE": "-1"}, ["serve", "--port", "0"]),
+        ({"REPRO_ACCESSES": "abc"}, ["fig13"]),
+        ({"REPRO_ACCESSES": "1.5"}, ["serve", "--port", "0"]),
+        ({"REPRO_SCALE": "x"}, ["fig13", "--accesses", "100"]),
+        ({"REPRO_SCALE": "x"}, ["serve", "--port", "0"]),
     ],
 )
 def test_environment_default_below_one_is_usage_error(env, args):
     """A default taken from the environment is checked like the flag:
-    exit 2 naming the variable, before anything is planned or served."""
+    exit 2 naming the variable, before anything is planned or served.
+    A value that is not an integer is treated like one below 1."""
     proc = _cli(args, env, stdout=subprocess.PIPE)
     (variable, value), = env.items()
     assert proc.returncode == 2, proc.stderr.decode()
@@ -150,9 +157,11 @@ def test_environment_default_below_one_is_usage_error(env, args):
 
 
 def test_environment_default_unused_by_the_command_is_not_checked():
-    proc = _cli(["list"], {"REPRO_ACCESSES": "-5"}, stdout=subprocess.PIPE)
-    assert proc.returncode == 0
-    assert b"fig13" in proc.stdout
+    for env in ({"REPRO_ACCESSES": "-5"}, {"REPRO_ACCESSES": "abc"},
+                {"REPRO_SCALE": "x"}):
+        proc = _cli(["list"], env, stdout=subprocess.PIPE)
+        assert proc.returncode == 0, proc.stderr.decode()
+        assert b"fig13" in proc.stdout
 
 
 def test_closed_stdout_exits_quietly():

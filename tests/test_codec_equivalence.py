@@ -6,9 +6,8 @@ Three families of guarantees, for every codec in the pool:
   kernel, memoized) equals ``compress(data).size`` (the payload path) on
   random and adversarial lines;
 * **round-trip** — ``decompress(compress(data)) == data`` on the same lines;
-* **memo transparency** — sizes with the memo disabled
-  (``REPRO_CODEC_MEMO=0`` semantics, capacity 0) match the memoized sizes,
-  and the LRU bound/stat counters behave.
+* **memo transparency** — the bare size kernels match the memoized
+  sizes, and the LRU bound/stat counters behave.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ import struct
 
 import pytest
 
-from repro.compression.base import CodecMemo, memo_capacity_from_env
+from repro.compression.base import CodecMemo
 from repro.compression.bdi import BDICompressor
 from repro.compression.fpc import FPCCompressor
 from repro.compression.hybrid import HybridCompressor
@@ -80,8 +79,7 @@ class TestKernelEquivalence:
     def test_memo_disabled_matches_memoized(self, codec):
         memoized = [codec.compressed_size(data) for data in LINES]
         bare = type(codec)()
-        bare._memo = CodecMemo(capacity=0)
-        assert [bare.compressed_size(data) for data in LINES] == memoized
+        assert [bare._size_kernel(data) for data in LINES] == memoized
 
 
 class TestFPCZeroRunBoundary:
@@ -131,12 +129,12 @@ class TestCodecMemo:
         assert stats["misses"] == 1
         assert stats["entries"] == 1
 
-    def test_capacity_zero_disables(self):
-        fpc = FPCCompressor()
-        fpc._memo = CodecMemo(capacity=0)
-        line = bytes(LINE_SIZE)
-        assert fpc.compressed_size(line) == fpc.compress(line).size
-        assert len(fpc.memo) == 0  # capacity 0: nothing is ever stored
+    @pytest.mark.parametrize("capacity", [0, -5])
+    def test_capacity_below_one_is_rejected(self, capacity):
+        with pytest.raises(ValueError, match="must be >= 1"):
+            CodecMemo(capacity=capacity)
+        with pytest.raises(ValueError, match="must be >= 1"):
+            HybridCompressor(cache_size=capacity)
 
     def test_rejects_bad_line_even_on_memo_path(self):
         fpc = FPCCompressor()
@@ -144,16 +142,3 @@ class TestCodecMemo:
             fpc.compressed_size(b"short")
         with pytest.raises(ValueError):
             fpc.compressed_size(b"short")  # second call must not memo-hit
-
-    def test_env_capacity_parsing(self, monkeypatch):
-        monkeypatch.delenv("REPRO_CODEC_MEMO", raising=False)
-        assert memo_capacity_from_env(123) == 123
-        monkeypatch.setenv("REPRO_CODEC_MEMO", "64")
-        assert memo_capacity_from_env(123) == 64
-        monkeypatch.setenv("REPRO_CODEC_MEMO", "0")
-        assert memo_capacity_from_env(123) == 0
-        monkeypatch.setenv("REPRO_CODEC_MEMO", "-5")
-        assert memo_capacity_from_env(123) == 0  # clamped
-        monkeypatch.setenv("REPRO_CODEC_MEMO", "lots")
-        with pytest.raises(ValueError):
-            memo_capacity_from_env(123)

@@ -146,6 +146,38 @@ class TestJobIdentity:
         with pytest.raises(dataclasses.FrozenInstanceError):
             job.workload = "gcc"
 
+    def test_l4_overrides_are_part_of_identity(self):
+        plain = make_job("mcf", "dice", params=PARAMS)
+        t32 = make_job("mcf", "dice", params=PARAMS, l4={"dice_threshold": 32})
+        t40 = make_job("mcf", "dice", params=PARAMS, l4={"dice_threshold": 40})
+        jobs = (plain, t32, t40)
+        assert len(set(jobs)) == 3
+        assert len({hash(job) for job in jobs}) == 3
+        assert len({job.cache_key for job in jobs}) == 3
+        assert len({job.job_id for job in jobs}) == 3
+        # the overrides live in the config digest: the key keeps its shape
+        assert len(t32.cache_key) == len(plain.cache_key)
+        assert t32.cache_key[0] == plain.cache_key[0]
+        assert t32.cache_key[2:] == plain.cache_key[2:]
+
+    def test_make_job_sorts_l4(self):
+        a = make_job("mcf", "dice", params=PARAMS,
+                     l4={"dice_threshold": 32, "cip_entries": 64})
+        b = make_job("mcf", "dice", params=PARAMS,
+                     l4=[("cip_entries", 64), ("dice_threshold", 32)])
+        assert a.l4 == (("cip_entries", 64), ("dice_threshold", 32))
+        assert a == b and a.job_id == b.job_id
+        assert a.describe() == "mcf × dice[cip_entries=64, dice_threshold=32]"
+
+    def test_l4_overrides_reach_the_resolved_config(self):
+        job = make_job("mcf", "dice", params=PARAMS, l4={"dice_threshold": 32})
+        config = runner_mod.resolve_config("dice", job.scale, job.l4)
+        assert config.l4.dice_threshold == 32
+        assert config.name == "dice"
+        assert runner_mod.named_config_digest("dice", job.scale, job.l4) != (
+            runner_mod.named_config_digest("dice", job.scale)
+        )
+
 
 class TestBuildPlan:
     def test_shared_baseline_scheduled_once(self):

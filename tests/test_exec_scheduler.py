@@ -17,11 +17,10 @@ from repro.exec import (
     format_progress,
     make_job,
     resolve_jobs,
-    run_configs,
     run_jobs,
 )
 from repro.exec.scheduler import JobOutcome
-from repro.harness.runner import resolve_config, set_run_executor
+from repro.harness.runner import set_run_executor
 from repro.sim.engine import SimulationParams, run_workload
 
 TINY = SimulationParams(accesses_per_core=120, seed=9)
@@ -133,25 +132,6 @@ class TestFailureDraining:
         set_run_executor(None)
         retry = run_jobs(jobs, max_workers=1)
         assert retry[0].ok and retry[0].source == "run"  # really re-ran
-
-
-class TestRunConfigs:
-    def test_parallel_matches_serial_and_preserves_order(self, isolated_cache):
-        configs = [
-            resolve_config("base", 65536),
-            resolve_config("dice", 65536).with_l4(dice_threshold=32),
-            resolve_config("dice", 65536).with_l4(dice_threshold=40),
-        ]
-        serial = run_configs("sphinx", configs, TINY, max_workers=1)
-        parallel = run_configs("sphinx", configs, TINY, max_workers=2)
-        assert serial == parallel
-        assert [r.config_name for r in serial] == [c.name for c in configs]
-
-    def test_errors_propagate(self, isolated_cache):
-        with pytest.raises(KeyError):
-            run_configs("no-such-workload",
-                        [resolve_config("base", 65536)] * 2, TINY,
-                        max_workers=2)
 
 
 class TestResolveJobs:

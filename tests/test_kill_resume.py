@@ -1,9 +1,11 @@
 """Kill-and-resume tests: a campaign killed outright (SIGKILL, no chance
 to clean up) or stopped gracefully (SIGTERM) must resume to results
-bit-identical to an uninterrupted run."""
+bit-identical to an uninterrupted run.  A single experiment command is a
+campaign too, and stops the same way."""
 
 from __future__ import annotations
 
+import contextlib
 import os
 import signal
 import subprocess
@@ -17,10 +19,10 @@ from repro.exec.cache import ShardedResultCache
 
 REPO_SRC = Path(__file__).resolve().parents[1] / "src"
 
-CMD = [
-    sys.executable, "-m", "repro.harness.cli", "all",
-    "--experiments", "fig13", "--jobs", "2",
-]
+CLI = [sys.executable, "-m", "repro.harness.cli"]
+CMD = [*CLI, "all", "--experiments", "fig13", "--jobs", "2"]
+# `cli fig13` prints what `cli all --experiments fig13` prints
+COMMANDS = {"all": CMD, "experiment": [*CLI, "fig13", "--jobs", "2"]}
 
 
 def _env(cwd):
@@ -34,11 +36,26 @@ def _env(cwd):
     return env
 
 
-def _run_to_completion(cwd):
+def _run_to_completion(cwd, cmd=CMD):
     return subprocess.run(
-        CMD, cwd=cwd, env=_env(cwd), capture_output=True, text=True,
+        cmd, cwd=cwd, env=_env(cwd), capture_output=True, text=True,
         timeout=300,
     )
+
+
+def _wait_for_empty_group(pgid, timeout=5.0):
+    """Whether every process of group ``pgid`` (the CLI's pool workers
+    included) is gone within ``timeout`` seconds."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        try:
+            os.killpg(pgid, 0)
+        except ProcessLookupError:
+            return True
+        time.sleep(0.05)
+    with contextlib.suppress(ProcessLookupError):
+        os.killpg(pgid, signal.SIGKILL)  # leave no orphan behind the test
+    return False
 
 
 def _signal_mid_campaign(proc, cwd, signum, *, group=False):
@@ -112,22 +129,34 @@ class TestKillResume:
         assert _normalized_results(victim) == reference["results"]
         assert resumed.stdout == reference["stdout"]
 
-    def test_sigterm_stops_gracefully_and_resumes(self, tmp_path, reference):
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_sigterm_stops_gracefully_and_resumes(
+        self, tmp_path, reference, command
+    ):
+        cmd = COMMANDS[command]
         work = tmp_path / "graceful"
         work.mkdir()
-        proc = subprocess.Popen(
-            CMD, cwd=work, env=_env(work),
-            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
-            start_new_session=True,
-        )
-        _signal_mid_campaign(proc, work, signal.SIGTERM)
-        _out, err = proc.communicate(timeout=120)
+        # Only the CLI's pid is signalled, as `kill <pid>` or a service
+        # manager does; its own session makes the group checkable after.
+        # stderr goes to a file: a worker that outlived the CLI would
+        # hold a pipe open and hang the read.
+        with open(tmp_path / "stderr.txt", "w+") as err_file:
+            proc = subprocess.Popen(
+                cmd, cwd=work, env=_env(work),
+                stdout=subprocess.DEVNULL, stderr=err_file, text=True,
+                start_new_session=True,
+            )
+            _signal_mid_campaign(proc, work, signal.SIGTERM)
+            proc.wait(timeout=120)
+            err_file.seek(0)
+            err = err_file.read()
+        assert _wait_for_empty_group(proc.pid), "a worker outlived the CLI"
         if proc.returncode == 0:
             pytest.skip("campaign finished before the signal landed")
         assert proc.returncode == 5, err  # EXIT_INTERRUPTED
         assert "re-run to resume" in err
 
-        resumed = _run_to_completion(work)
+        resumed = _run_to_completion(work, cmd)
         assert resumed.returncode == 0, resumed.stderr
         assert _normalized_results(work) == reference["results"]
         assert resumed.stdout == reference["stdout"]

@@ -167,6 +167,7 @@ class TestCLI:
 
         monkeypatch.setattr(runner_mod, "_DISK_CACHE", False)
         monkeypatch.setattr(runner_mod, "_memory_cache", {})
+        monkeypatch.chdir(tmp_path)  # where .campaign_flight.json lands
         trace = tmp_path / "cli.jsonl"
         status = cli.main(
             ["fig13", "--accesses", "100", "--jobs", "1", "--trace", str(trace)]

@@ -132,7 +132,6 @@ class TestSharedStoreRuns:
     def test_each_line_synthesized_once_and_each_content_sized_once(
         self, monkeypatch
     ):
-        monkeypatch.delenv("REPRO_CODEC_MEMO", raising=False)
         fresh = {
             d: run_workload("mcf", _config(d), PARAMS, store=LineStore())
             for d in self.DESIGNS
@@ -216,7 +215,6 @@ class TestProcessStore:
     def test_a_repeated_run_synthesizes_and_sizes_nothing(
         self, monkeypatch, empty_process_store
     ):
-        monkeypatch.delenv("REPRO_CODEC_MEMO", raising=False)
         config = _config("dice")
         first = run_workload("mcf", config, self.PARAMS)
         assert process_store() is empty_process_store
