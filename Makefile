@@ -1,6 +1,6 @@
 # Convenience targets for the DICE reproduction.
 
-.PHONY: install test check chaos serve service-smoke slo-check bench bench-parallel bench-core bench-gate report flight run-table examples clean
+.PHONY: install test check chaos serve service-smoke bench bench-parallel bench-core bench-gate report flight run-table examples clean
 
 install:
 	python setup.py develop
@@ -26,13 +26,9 @@ serve:
 
 # Daemon lifecycle smoke: cold campaign, 100%-cache-hit warm resubmission,
 # healthz/metrics, SIGTERM drain to a checkpoint, bit-identical resume,
-# cross-process trace stitching + SLO verdicts.
+# and a traced daemon whose trace `cli trace summarize` rolls up.
 service-smoke:
 	PYTHONPATH=src REPRO_ACCESSES=300 python scripts/service_smoke.py
-
-# Judge the daemon's service-level objectives; exit 6 when one is failing.
-slo-check:
-	PYTHONPATH=src python -m repro.harness.cli slo check
 
 bench:
 	python -m pytest benchmarks/ --benchmark-only -q -s

@@ -60,14 +60,11 @@ def build_flight_data(
     profile: Optional[Dict] = None,
     metrics: Optional[Dict] = None,
     trace_summary: Optional[Dict] = None,
-    slo: Optional[Dict] = None,
     top: int = 10,
     key_stats: Optional[Dict] = None,
 ) -> Dict[str, object]:
     """Assemble the renderer-independent report payload.
 
-    ``slo`` is a ``{"ok": bool, "results": [...]}`` verdict document —
-    the daemon's ``GET /slo`` payload or ``cli slo check --json`` output.
     ``key_stats`` is :func:`repro.obs.fidelity.compute_key_stats` output
     from a repetition campaign — per-target mean Δ, 95% CI, and p-value.
     """
@@ -84,7 +81,6 @@ def build_flight_data(
         "profile_meta": (profile or {}).get("meta"),
         "metrics": metrics,
         "trace_summary": trace_summary,
-        "slo": slo,
         "key_stats": key_stats,
     }
 
@@ -218,33 +214,6 @@ def _metrics_section(metrics: Optional[Dict]) -> List[str]:
     return lines
 
 
-def _slo_section(slo: Optional[Dict]) -> List[str]:
-    if not slo or not isinstance(slo.get("results"), list):
-        return ["_No SLO verdicts supplied (capture `cli slo check --json` "
-                "or the daemon's `GET /slo`)._"]
-    verdict = "**healthy**" if slo.get("ok") else "**FAILING**"
-    lines = [
-        f"Overall: {verdict}",
-        "",
-        "| objective | verdict | value |",
-        "|---|---|---:|",
-    ]
-    for result in slo["results"]:
-        if not isinstance(result, dict):
-            continue
-        ok = result.get("ok")
-        if ok is None:
-            mark = "no data"
-        elif result.get("failed"):
-            mark = "FAIL"
-        else:
-            mark = "ok"
-        value = result.get("value")
-        shown = "—" if value is None else f"{float(value):g}"
-        lines.append(f"| `{result.get('name', '?')}` | {mark} | {shown} |")
-    return lines
-
-
 def _trace_section(trace_summary: Optional[Dict]) -> List[str]:
     if not trace_summary:
         return ["_No trace summarized (run with `--trace PATH` or "
@@ -295,10 +264,6 @@ def render_markdown(data: Dict[str, object]) -> str:
         "## Metrics snapshot",
         "",
         *_metrics_section(data["metrics"]),
-        "",
-        "## Service-level objectives",
-        "",
-        *_slo_section(data.get("slo")),
         "",
         "## Trace summary",
         "",

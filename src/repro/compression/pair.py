@@ -7,7 +7,8 @@ paper's headline packing rule follows: two adjacent lines co-compressed to
 <= 68 B fit in one 72 B TAD (Fig 4, "Double<=68").
 
 ``pair_compressed_size`` returns the co-compressed data size for two lines,
-which is never worse than the sum of their individual sizes.
+which is never worse than the sum of their individual sizes;
+``pair_size_of`` does the same from sizes the caller already has.
 """
 
 from __future__ import annotations
@@ -45,8 +46,15 @@ def pair_compressed_size(
     Returns ``(size, shared)``; ``size`` is at most the sum of the individual
     compressed sizes and at most 2 * LINE_SIZE.
     """
-    size_a = compressor.compressed_size(a)
-    size_b = compressor.compressed_size(b)
+    return pair_size_of(
+        compressor.compressed_size(a), compressor.compressed_size(b), a, b
+    )
+
+
+def pair_size_of(
+    size_a: int, size_b: int, a: bytes, b: bytes
+) -> Tuple[int, bool]:
+    """:func:`pair_compressed_size` given the lines' individual sizes."""
     independent = size_a + size_b
     shared = _shared_base_size(a, b)
     if shared is not None and shared < independent:

@@ -14,15 +14,11 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING, Mapping, Optional, Tuple, Union
+from typing import Mapping, Optional, Tuple, Union
 
 from repro.harness import runner as runner_mod
 from repro.sim.engine import SimulationParams
 from repro.sim.metrics import SimResult
-
-if TYPE_CHECKING:  # import at runtime would close an import cycle:
-    # repro.obs initializes via repro.sim, which this module precedes
-    from repro.obs.telemetry import TraceContext
 
 
 def derive_rep_seed(base_seed: int, rep: int) -> int:
@@ -54,19 +50,12 @@ class Job:
     # DRAMCacheConfig: a design-space sweep point.  Part of identity and
     # of the cache key's config digest.
     l4: runner_mod.L4Overrides = ()
-    # Distributed-trace coordinates, attached by the scheduler/daemon when
-    # tracing is on.  compare=False keeps identity (eq/hash), cache_key and
-    # job_id exactly what they were without a trace — telemetry must never
-    # change which results dedupe or where they land in the cache.
-    trace: Optional["TraceContext"] = field(
-        default=None, compare=False, repr=False
-    )
-    # Repetition index within a statistical campaign.  compare=False for
-    # the same reason as ``trace``: identity stays keyed on what was
-    # simulated.  Distinct reps already differ there — the planner derives
-    # a distinct per-rep seed into ``params`` — so ``rep`` is pure
-    # labeling metadata for the run table, never a dedupe discriminator
-    # beyond what the derived seed provides.
+    # Repetition index within a statistical campaign.  compare=False
+    # keeps identity keyed on what was simulated.  Distinct reps already
+    # differ there — the planner derives a distinct per-rep seed into
+    # ``params`` — so ``rep`` is pure labeling metadata for the run
+    # table, never a dedupe discriminator beyond what the derived seed
+    # provides.
     rep: int = field(default=0, compare=False)
 
     @property

@@ -28,7 +28,6 @@ monkeypatched test state; ``spawn`` is the fallback elsewhere.
 
 from __future__ import annotations
 
-import dataclasses
 import os
 import time
 from dataclasses import dataclass
@@ -37,7 +36,6 @@ from typing import Callable, List, Optional, Sequence
 from pathlib import Path
 
 from repro import obs
-from repro.obs import telemetry
 from repro.chaos import class_counts
 from repro.chaos.policy import ChaosPolicy
 from repro.exec.cache import cache_health
@@ -274,27 +272,9 @@ def run_jobs(
         tracer=_exec_tracer(),
     )
     if tracker.tracer.enabled:
-        # Join (or mint) a distributed trace: campaigns submitted through
-        # the service arrive with an ambient context; standalone traced
-        # campaigns become their own root.  Pending jobs each get a child
-        # context — attached *after* identity-based dedupe/cache peeking,
-        # and compare=False, so telemetry never changes what runs.
-        root = telemetry.current() or telemetry.TraceContext.new()
-        tracker.tracer.meta.update(root.to_meta())
-        for i in pending:
-            jobs[i] = dataclasses.replace(jobs[i], trace=root.child())
         for i, job in enumerate(jobs):
-            if outcomes[i] is not None:
-                tracker.tracer.instant(
-                    "job.cached", "exec", 0, job=job.describe(),
-                    trace_id=root.trace_id,
-                )
-            else:
-                tracker.tracer.instant(
-                    "job.queued", "exec", 0, job=job.describe(),
-                    trace_id=root.trace_id, span_id=job.trace.span_id,
-                    parent_id=job.trace.parent_id,
-                )
+            name = "job.cached" if outcomes[i] is not None else "job.queued"
+            tracker.tracer.instant(name, "exec", 0, job=job.describe())
     workers = min(resolve_jobs(max_workers), max(1, len(pending)))
 
     report = SupervisionReport()

@@ -64,7 +64,6 @@ from repro.chaos import ledger as ledger_mod
 from repro.chaos import controller as chaos_controller
 from repro.chaos.policy import ChaosPolicy
 from repro.exec.job import Job
-from repro.obs import telemetry
 from repro.sim.metrics import SimResult
 
 
@@ -265,10 +264,7 @@ def _supervised_execute(
         {"ticket": ticket, "attempt": attempt, "pid": os.getpid()},
     )
     with chaos_controller.job_site(job.job_id, attempt):
-        # restore the job's distributed-trace coordinates as this
-        # worker's ambient context (no-op for an untraced job)
-        with telemetry.activate(job.trace):
-            result = job.execute()
+        result = job.execute()
     problem = validate_result(result)
     if problem is not None:
         # The poisoned value reached the cache inside job.execute();

@@ -10,12 +10,10 @@ Usage::
     python -m repro.harness.cli fig10 --trace /tmp/dice-trace.jsonl
     python -m repro.harness.cli fig10 --profile /tmp/dice.prof.json
     python -m repro.harness.cli trace summarize /tmp/dice-trace.jsonl
-    python -m repro.harness.cli trace stitch client.jsonl trace.daemon.jsonl trace.w*.jsonl
     python -m repro.harness.cli manifest show mcf dice
     python -m repro.harness.cli report --flight --check
     python -m repro.harness.cli serve --port 7414 --jobs 4 --trace /tmp/svc.jsonl
-    python -m repro.harness.cli submit fig13 --port 7414 --trace /tmp/client.jsonl
-    python -m repro.harness.cli slo check --port 7414
+    python -m repro.harness.cli submit fig13 --port 7414
     python -m repro.harness.cli cache-info
 
 Results are cached on disk, so regenerating a second figure that shares
@@ -46,26 +44,24 @@ sends a campaign to a running daemon and streams its NDJSON progress;
 
 Two switches turn observability on: ``--trace PATH`` (an event trace,
 its Chrome companion and a metrics export beside it, sampled by
-``--trace-every N``) and ``--profile PATH`` (a self-profile).  The
-telemetry plane rides on the same commands: ``submit --trace`` mints a
-trace context that the daemon and its workers join, ``trace stitch``
-merges their per-process JSONL files into one chrome://tracing document,
-and ``cli slo check`` judges the daemon's service-level objectives
-against its current metrics (exit 6 when one is failing).
+``--trace-every N``) and ``--profile PATH`` (a self-profile).
+``serve --trace`` also writes the daemon's own ``<stem>.daemon.jsonl``
+beside its workers' files; ``trace summarize`` reads any of them.
 
 Exit codes: 0 success, 2 usage error (unknown experiment/flag), 3 a
 simulation failed or was quarantined (remaining jobs are still drained
 and cached, so a re-run only repeats the failures), 4 the fidelity
 scoreboard drifted out of its tolerance band (``report --flight
 --check``), 5 the campaign was interrupted (SIGTERM/SIGINT) and stopped
-gracefully (finished simulations are cached, so a re-run resumes), 6 an
-SLO check failed (``slo check``).  ``cli serve`` exits 1 when its
-supervisor thread failed (it drains and checkpoints first).
+gracefully (finished simulations are cached, so a re-run resumes).
+``cli serve`` exits 1 when its supervisor thread failed (it drains and
+checkpoints first).
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from typing import List, Optional
@@ -82,7 +78,6 @@ EXIT_USAGE = 2
 EXIT_SIM_FAILURE = 3
 EXIT_DRIFT = 4
 EXIT_INTERRUPTED = 5
-EXIT_SLO = 6
 
 # The one documented default every subcommand's --seed shares (it is also
 # SimulationParams.seed).  tests/test_cli.py asserts no parser drifts.
@@ -98,6 +93,19 @@ def _accesses(text: str) -> int:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _fault_rate(text: str) -> float:
+    """``--fault-rate``: injected faults per GB-hour, finite and >= 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(
+            f"must be finite and >= 0, got {text}"
+        )
     return value
 
 
@@ -484,94 +492,28 @@ def _serve_in_process(jobs, workdir, **config) -> dict:
 
 
 def _trace_command(argv: List[str]) -> int:
-    """``repro trace summarize PATH`` / ``repro trace stitch PATHS...``.
-
-    ``summarize`` aggregates one recorded event trace; ``stitch`` merges the
-    per-process files of one distributed campaign — client, daemon, and
-    worker JSONL — into a single chrome://tracing document keyed on
-    their shared trace id.
-    """
-    import json
-    from pathlib import Path
-
+    """``repro trace summarize PATH`` — aggregate one recorded event trace."""
     import repro.obs as obs
 
     parser = argparse.ArgumentParser(prog="repro.harness.cli trace")
-    parser.add_argument("action", choices=["summarize", "stitch"])
+    parser.add_argument("action", choices=["summarize"])
     parser.add_argument(
-        "paths", nargs="+", metavar="PATH",
-        help="JSONL trace file(s) written by --trace",
-    )
-    parser.add_argument(
-        "--trace-id", default=None,
-        help="stitch: target trace id (default: the most common one "
-        "across the inputs)",
-    )
-    parser.add_argument(
-        "--out", default=None, metavar="PATH",
-        help="stitch: where to write the merged chrome trace "
-        "(default: <first input>.stitched.json)",
-    )
-    parser.add_argument(
-        "--json", action="store_true",
-        help="stitch: print the machine-readable span/file table on stdout",
+        "path", metavar="PATH", help="a JSONL trace file written by --trace"
     )
     args = parser.parse_args(argv)
-
-    if args.action == "summarize":
-        if len(args.paths) != 1:
-            parser.error("summarize takes exactly one PATH")
-        try:
-            summary = obs.summarize_trace(args.paths[0])
-        except (OSError, ValueError) as exc:
-            print(f"error: cannot read trace: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        if summary["events"] == 0:
-            print(
-                f"error: {args.paths[0]} holds no trace events (empty or "
-                f"meta-only file — did the traced run execute?)",
-                file=sys.stderr,
-            )
-            return EXIT_USAGE
-        print(obs.format_summary(summary))
-        return EXIT_OK
-
     try:
-        stitched = obs.stitch_traces(args.paths, trace_id=args.trace_id)
+        summary = obs.summarize_trace(args.path)
     except (OSError, ValueError) as exc:
-        print(f"error: cannot stitch traces: {exc}", file=sys.stderr)
+        print(f"error: cannot read trace: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if stitched["events"] == 0:
-        wanted = f" for trace {args.trace_id}" if args.trace_id else ""
+    if summary["events"] == 0:
         print(
-            f"error: no events{wanted} across {len(args.paths)} file(s) — "
-            f"were the daemon and workers run with tracing on?",
+            f"error: {args.path} holds no trace events (empty or "
+            f"meta-only file — did the traced run execute?)",
             file=sys.stderr,
         )
         return EXIT_USAGE
-    out = Path(args.out or f"{args.paths[0]}.stitched.json")
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(stitched["chrome"], sort_keys=True))
-    table = {
-        "trace_id": stitched["trace_id"],
-        "events": stitched["events"],
-        "files": stitched["files"],
-        "out": str(out),
-    }
-    if args.json:
-        print(json.dumps(table, sort_keys=True, indent=2))
-    else:
-        print(
-            f"trace {stitched['trace_id']}: {stitched['events']} events "
-            f"from {len(stitched['files'])} file(s) → {out}"
-        )
-        for record in stitched["files"]:
-            root = record.get("root_span") or "-"
-            print(
-                f"  pid {record['pid']:<7} {record['scope']:<10} "
-                f"{record['events']:>5} events · root span {root} "
-                f"({Path(record['path']).name})"
-            )
+    print(obs.format_summary(summary))
     return EXIT_OK
 
 
@@ -588,7 +530,7 @@ def _manifest_command(argv: List[str]) -> int:
     parser.add_argument("config", nargs="?")
     parser.add_argument("--accesses", type=_accesses, default=None)
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    parser.add_argument("--fault-rate", type=float, default=0.0)
+    parser.add_argument("--fault-rate", type=_fault_rate, default=0.0)
     parser.add_argument("--ecc", choices=SCHEMES, default="secded")
     parser.add_argument(
         "--shard",
@@ -687,13 +629,6 @@ def _report_command(argv: List[str]) -> int:
     parser.add_argument("--trace", default=None, metavar="PATH")
     parser.add_argument("--metrics", default=None, metavar="PATH")
     parser.add_argument("--profile", default=None, metavar="PATH")
-    parser.add_argument(
-        "--slo",
-        default=None,
-        metavar="PATH",
-        help="a `cli slo check --json` (or `GET /slo`) verdict document "
-        "to include in the report's SLO section",
-    )
     parser.add_argument("--top", type=int, default=10)
     parser.add_argument("--accesses", type=_accesses, default=None)
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
@@ -791,10 +726,7 @@ def _report_command(argv: List[str]) -> int:
     metrics = _load(
         args.metrics, lambda p: json.loads(Path(p).read_text()), "metrics"
     )
-    slo = _load(
-        args.slo, lambda p: json.loads(Path(p).read_text()), "slo verdicts"
-    )
-    for loaded in (profile, trace_summary, metrics, slo):
+    for loaded in (profile, trace_summary, metrics):
         if isinstance(loaded, Exception):
             return EXIT_USAGE
 
@@ -807,7 +739,6 @@ def _report_command(argv: List[str]) -> int:
         profile=profile,
         metrics=metrics,
         trace_summary=trace_summary,
-        slo=slo,
         top=args.top,
         key_stats=key_stats,
     )
@@ -848,7 +779,6 @@ def _serve_command(argv: List[str]) -> int:
 
     from repro.chaos import from_env as chaos_from_env
     from repro.exec import SupervisorPolicy
-    from repro.obs import slo as slo_mod
     from repro.service import DEFAULT_CHECKPOINT, ServiceConfig, run_service
 
     parser = argparse.ArgumentParser(
@@ -901,19 +831,10 @@ def _serve_command(argv: List[str]) -> int:
         default=None,
         metavar="PATH",
         help="trace the daemon (<stem>.daemon.jsonl) and every worker "
-        "simulation (exported so pool workers inherit it); stitch the "
-        "set with `cli trace stitch`",
+        "simulation (exported so pool workers inherit it); `cli trace "
+        "summarize` reads each file",
     )
     parser.add_argument("--trace-every", type=int, default=None, metavar="N")
-    parser.add_argument(
-        "--slo",
-        action="append",
-        default=None,
-        metavar="SPEC",
-        help="add a service-level objective (e.g. "
-        "'p99_submit: p99(service.submit.wall_us{kind=warm}) <= 500000'); "
-        "repeatable, on top of the built-in set",
-    )
     args = parser.parse_args(argv)
     if args.jobs is not None and args.jobs < 1:
         parser.error("--jobs must be >= 1")
@@ -923,11 +844,6 @@ def _serve_command(argv: List[str]) -> int:
         parser.error("--trace-every must be >= 1")
     # the daemon applies both defaults to every submission that omits them
     _accesses_or_default(parser, None)
-    if args.slo:
-        try:
-            slo_mod.parse_slos(args.slo)
-        except slo_mod.SLOParseError as exc:
-            parser.error(f"bad --slo spec: {exc}")
     if args.trace:
         # Export through the environment (not just obs.configure) so the
         # worker pool — fork or spawn — inherits the trace destination.
@@ -947,7 +863,6 @@ def _serve_command(argv: List[str]) -> int:
         checkpoint=Path(args.checkpoint),
         resume=not args.no_resume,
         promote=not args.no_promote,
-        slos=args.slo,
     )
     try:
         return asyncio.run(run_service(config))
@@ -978,7 +893,7 @@ def _submit_command(argv: List[str]) -> int:
     parser.add_argument("--port", type=int, default=7414)
     parser.add_argument("--accesses", type=_accesses, default=None)
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    parser.add_argument("--fault-rate", type=float, default=None)
+    parser.add_argument("--fault-rate", type=_fault_rate, default=None)
     parser.add_argument("--ecc", choices=SCHEMES, default=None)
     parser.add_argument(
         "--repetitions",
@@ -1006,14 +921,6 @@ def _submit_command(argv: List[str]) -> int:
         action="store_true",
         help="print the final results document as JSON on stdout",
     )
-    parser.add_argument(
-        "--trace",
-        default=None,
-        metavar="PATH",
-        help="record this submission's client-side span to PATH and "
-        "propagate its trace context to the daemon (stitch the daemon "
-        "and worker files with `cli trace stitch`)",
-    )
     parser.add_argument("--timeout", type=float, default=600.0)
     args = parser.parse_args(argv)
     keys = args.experiments
@@ -1026,12 +933,6 @@ def _submit_command(argv: List[str]) -> int:
         from repro.analysis.runtable import DEFAULT_RUN_TABLE
 
         run_table = DEFAULT_RUN_TABLE
-
-    ctx = None
-    if args.trace:
-        from repro.obs import telemetry
-
-        ctx = telemetry.TraceContext.new()
 
     client = ServiceClient(args.host, args.port, timeout=args.timeout)
 
@@ -1048,9 +949,6 @@ def _submit_command(argv: List[str]) -> int:
         elif kind == "done":
             print(file=sys.stderr)
 
-    import time as time_mod
-
-    request_started = time_mod.monotonic()
     try:
         doc = client.run_campaign(
             experiments=keys,
@@ -1063,7 +961,6 @@ def _submit_command(argv: List[str]) -> int:
                 args.repetitions if args.repetitions > 1 else None
             ),
             on_event=on_event,
-            trace=ctx,
         )
     except ServiceError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -1080,28 +977,6 @@ def _submit_command(argv: List[str]) -> int:
             file=sys.stderr,
         )
         return EXIT_USAGE
-
-    if ctx is not None:
-        # One span covering the whole request: submit → stream → results.
-        # Its span_id is the daemon campaign span's parent, which is what
-        # makes `trace stitch` root the distributed trace at the client.
-        from repro.obs.tracer import Tracer
-
-        elapsed_us = int((time_mod.monotonic() - request_started) * 1e6)
-        tracer = Tracer(
-            args.trace, meta={"scope": "client", **ctx.to_meta()}
-        )
-        tracer.span(
-            "client.request", "client", ts=0, dur=max(1, elapsed_us),
-            trace_id=ctx.trace_id, span_id=ctx.span_id,
-            campaign=str(doc.get("id")), experiments=",".join(keys),
-        )
-        tracer.close()
-        print(
-            f"trace: {ctx.trace_id} → {args.trace} (merge the daemon and "
-            f"worker files with `cli trace stitch`)",
-            file=sys.stderr,
-        )
 
     if run_table:
         try:
@@ -1136,103 +1011,6 @@ def _submit_command(argv: List[str]) -> int:
     if status == "drained":
         return EXIT_INTERRUPTED
     return EXIT_OK if status == "completed" else EXIT_SIM_FAILURE
-
-
-def _slo_command(argv: List[str]) -> int:
-    """``repro slo check`` — judge service-level objectives.
-
-    Live mode (default) evaluates the built-in service SLOs — plus any
-    ``--slo`` extras — against a running daemon's current registry.
-    ``--metrics FILE`` instead judges the ``<stem>.metrics.json`` export a
-    traced run writes, offline (``--slo`` is then required: a run export
-    has no service metrics for the built-ins to see).  Exit
-    :data:`EXIT_SLO` when any objective is failing.
-    """
-    import json
-    from pathlib import Path
-
-    from repro.obs import slo as slo_mod
-
-    parser = argparse.ArgumentParser(
-        prog="repro.harness.cli slo",
-        description="Check service-level objectives against a daemon "
-        "or an exported metrics file.",
-    )
-    parser.add_argument("action", choices=["check"])
-    parser.add_argument("--host", default="127.0.0.1")
-    parser.add_argument("--port", type=int, default=7414)
-    parser.add_argument(
-        "--metrics", default=None, metavar="PATH",
-        help="judge this metrics export (a traced run's "
-        "<stem>.metrics.json) instead of a live daemon",
-    )
-    parser.add_argument(
-        "--slo", action="append", default=None, metavar="SPEC",
-        help="add an objective, e.g. 'p99_submit: "
-        "p99(service.submit.wall_us{kind=warm}) <= 500000'; repeatable",
-    )
-    parser.add_argument(
-        "--json", action="store_true",
-        help="print the verdicts as JSON instead of the table",
-    )
-    args = parser.parse_args(argv)
-    try:
-        extra = slo_mod.parse_slos(args.slo or [])
-    except slo_mod.SLOParseError as exc:
-        parser.error(f"bad --slo spec: {exc}")
-
-    if args.metrics is not None:
-        if not extra:
-            parser.error("--metrics needs at least one --slo objective")
-        try:
-            payload = json.loads(Path(args.metrics).read_text())
-        except (OSError, ValueError) as exc:
-            print(f"error: cannot read metrics: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        metrics = payload.get("metrics") if isinstance(payload, dict) else None
-        if not isinstance(metrics, dict):
-            print(
-                f"error: {args.metrics} is not a metrics export",
-                file=sys.stderr,
-            )
-            return EXIT_USAGE
-        specs = extra
-    else:
-        from repro.service.client import ServiceClient, ServiceError
-
-        client = ServiceClient(args.host, args.port, timeout=10.0)
-        try:
-            health = client.healthz()
-            metrics = client.metrics()
-        except ServiceError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        except (ConnectionError, OSError) as exc:
-            print(
-                f"error: cannot reach the daemon at "
-                f"{args.host}:{args.port}: {exc} (is `cli serve` running?)",
-                file=sys.stderr,
-            )
-            return EXIT_USAGE
-        specs = slo_mod.default_service_slos(
-            int(health.get("max_queue", 256) or 256)
-        ) + extra
-
-    statuses = slo_mod.evaluate(specs, metrics)
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "ok": slo_mod.healthy(statuses),
-                    "results": [s.to_dict() for s in statuses],
-                },
-                sort_keys=True,
-                indent=2,
-            )
-        )
-    else:
-        print(slo_mod.format_statuses(statuses))
-    return EXIT_OK if slo_mod.healthy(statuses) else EXIT_SLO
 
 
 def _cache_info_command(argv: List[str]) -> int:
@@ -1277,7 +1055,6 @@ _SUBCOMMANDS = {
     "chaos": _chaos_command,
     "serve": _serve_command,
     "submit": _submit_command,
-    "slo": _slo_command,
     "cache-info": _cache_info_command,
 }
 
@@ -1323,7 +1100,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--fault-rate",
-        type=float,
+        type=_fault_rate,
         default=0.0,
         help="injected DRAM faults per GB-hour (0 disables injection; "
         "the `faults` experiment sweeps its own rates on top of this)",

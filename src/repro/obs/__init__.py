@@ -51,12 +51,6 @@ from repro.obs.registry import (
     Gauge,
     MetricsRegistry,
     metric_key,
-    parse_metric_key,
-)
-from repro.obs.telemetry import (
-    TraceContext,
-    render_prometheus,
-    stitch_traces,
 )
 from repro.obs.tracer import (
     NULL_TRACER,
@@ -77,7 +71,6 @@ __all__ = [
     "NullTracer",
     "Profiler",
     "RunObservability",
-    "TraceContext",
     "Tracer",
     "begin_run",
     "build_manifest",
@@ -91,13 +84,10 @@ __all__ = [
     "instrument_method",
     "metric_key",
     "name_runs_as_parent",
-    "parse_metric_key",
     "profile_settings",
     "read_events",
     "read_profile",
-    "render_prometheus",
     "reset_configuration",
-    "stitch_traces",
     "summarize_trace",
     "top_frames",
     "trace_settings",
@@ -214,14 +204,8 @@ def begin_run(label: str) -> RunObservability:
 
     Returns a disabled bundle (null tracer and profiler, fresh registry,
     no output paths) unless tracing or profiling is configured.  A traced
-    run exports its metrics registry beside the trace.  When an ambient
-    :class:`~repro.obs.telemetry.TraceContext` is active (a pool worker
-    executing a traced service job), this run's place in the
-    distributed trace is stamped into the tracer's file meta so
-    ``cli trace stitch`` can parent the worker file correctly.
+    run exports its metrics registry beside the trace.
     """
-    from repro.obs import telemetry
-
     trace_path, every = trace_settings()
     profile_path = profile_settings()
     if trace_path is None and profile_path is None:
@@ -234,11 +218,7 @@ def begin_run(label: str) -> RunObservability:
     )
     if trace_path is None:
         return RunObservability(profiler=profiler)
-    meta: Dict[str, object] = {"run": label}
-    ctx = telemetry.current()
-    if ctx is not None:
-        meta.update(ctx.child().to_meta())
-    tracer = Tracer(_uniquify(trace_path, n), every=every, meta=meta)
+    tracer = Tracer(_uniquify(trace_path, n), every=every, meta={"run": label})
     base = tracer.path
     name = f"{base.stem}.metrics.json" if base.suffix == ".jsonl" else (
         base.name + ".metrics.json"

@@ -12,8 +12,9 @@ simulation run (created by the engine, threaded through
   CIP keep their fast plain-int counters and publish through
   collectors).
 
-``to_dict()`` is the ``metrics.json`` payload: every instrument grouped
-by kind, with label-qualified names (``name{k=v}``) as keys.
+``to_dict()`` is the ``metrics.json`` payload and the daemon's JSON
+``GET /metrics`` body: every instrument grouped by kind, with
+label-qualified names (``name{k=v}``) as keys.
 
 Metric naming convention (see DESIGN.md Sec 10): dot-separated
 ``<layer>.<component>.<quantity>``, e.g. ``sim.l4.read_hits``,
@@ -89,49 +90,6 @@ def metric_key(name: str, labels: Dict[str, object]) -> str:
         f"{_escape_label(k)}={_escape_label(labels[k])}" for k in sorted(labels)
     )
     return f"{name}{{{inner}}}"
-
-
-def parse_metric_key(key: str) -> "tuple[str, Dict[str, str]]":
-    """Invert :func:`metric_key`: ``name{k=v,...}`` → (name, labels).
-
-    The Prometheus renderer needs the structured form back — label
-    values re-escape differently there.  Honors the backslash escapes
-    :func:`_escape_label` applied, so a label value containing ``,`` or
-    ``=`` round-trips exactly.  A key without a label block (or with a
-    malformed one) comes back as the whole key and no labels.
-    """
-    brace = key.find("{")
-    if brace < 0 or not key.endswith("}"):
-        return key, {}
-    name, inner = key[:brace], key[brace + 1:-1]
-    # tokenize once, remembering which characters were escaped
-    chars: list = []  # (char, was_escaped)
-    i = 0
-    while i < len(inner):
-        if inner[i] == "\\" and i + 1 < len(inner):
-            chars.append((inner[i + 1], True))
-            i += 2
-        else:
-            chars.append((inner[i], False))
-            i += 1
-    labels: Dict[str, str] = {}
-    pair: list = []
-    for char, escaped in chars + [(",", False)]:
-        if char == "," and not escaped:
-            if pair:
-                text = pair
-                for j, (c, esc) in enumerate(text):
-                    if c == "=" and not esc:
-                        labels["".join(c for c, _ in text[:j])] = "".join(
-                            c for c, _ in text[j + 1:]
-                        )
-                        break
-                else:
-                    return key, {}  # no unescaped '=': not our encoding
-            pair = []
-        else:
-            pair.append((char, escaped))
-    return name, labels
 
 
 class MetricsRegistry:

@@ -13,8 +13,6 @@ import http.client
 import json
 from typing import Dict, Iterator, List, Optional
 
-from repro.obs.telemetry import TraceContext
-
 
 class ServiceError(RuntimeError):
     """A non-2xx answer from the daemon, with its status and body."""
@@ -42,14 +40,13 @@ class ServiceClient:
         method: str,
         path: str,
         body: Optional[object] = None,
-        headers: Optional[Dict[str, str]] = None,
     ) -> object:
         conn = http.client.HTTPConnection(
             self.host, self.port, timeout=self.timeout
         )
         try:
             payload = None
-            headers = dict(headers or {})
+            headers: Dict[str, str] = {}
             if body is not None:
                 payload = json.dumps(body).encode("utf-8")
                 headers["Content-Type"] = "application/json"
@@ -78,27 +75,6 @@ class ServiceClient:
     def metrics(self) -> Dict[str, object]:
         return self._request("GET", "/metrics")
 
-    def metrics_text(self) -> str:
-        """``GET /metrics`` in the Prometheus text exposition format."""
-        conn = http.client.HTTPConnection(
-            self.host, self.port, timeout=self.timeout
-        )
-        try:
-            conn.request("GET", "/metrics", headers={"Accept": "text/plain"})
-            response = conn.getresponse()
-            raw = response.read()
-            if response.status >= 400:
-                raise ServiceError(
-                    response.status, raw.decode("utf-8", "replace")
-                )
-            return raw.decode("utf-8")
-        finally:
-            conn.close()
-
-    def slo(self) -> Dict[str, object]:
-        """``GET /slo`` — every objective's verdict."""
-        return self._request("GET", "/slo")
-
     def submit(
         self,
         *,
@@ -110,14 +86,8 @@ class ServiceClient:
         fault_rate: Optional[float] = None,
         ecc: Optional[str] = None,
         repetitions: Optional[int] = None,
-        trace: Optional[TraceContext] = None,
     ) -> Dict[str, object]:
-        """``POST /campaigns``; the acceptance doc (id, cached, queued...).
-
-        ``trace`` (a client-minted :class:`TraceContext`) rides along as
-        ``X-Repro-Trace-Id``/``X-Repro-Parent-Span`` headers, making the
-        daemon's campaign span a child of the client's request span.
-        """
+        """``POST /campaigns``; the acceptance doc (id, cached, queued...)."""
         body: Dict[str, object] = {"client": client}
         if experiments:
             body["experiments"] = list(experiments)
@@ -133,10 +103,7 @@ class ServiceClient:
             body["ecc"] = ecc
         if repetitions is not None:
             body["repetitions"] = repetitions
-        return self._request(
-            "POST", "/campaigns", body,
-            headers=trace.to_headers() if trace is not None else None,
-        )
+        return self._request("POST", "/campaigns", body)
 
     def campaign(self, campaign_id: str) -> Dict[str, object]:
         return self._request("GET", f"/campaigns/{campaign_id}")

@@ -58,8 +58,6 @@ from repro.exec.job import Job
 from repro.exec.scheduler import resolve_jobs
 from repro.exec.supervisor import DEFAULT_SUPERVISOR, Supervisor, SupervisorPolicy
 from repro.harness import runner as runner_mod
-from repro.obs import slo as slo_mod
-from repro.obs import telemetry
 from repro.service.http import (
     ChunkedNdjsonWriter,
     HttpError,
@@ -71,6 +69,7 @@ from repro.service.http import (
 from repro.service.state import (
     CampaignState,
     DEFAULT_CHECKPOINT,
+    check_params,
     job_from_spec,
     load_checkpoint,
     write_checkpoint,
@@ -94,7 +93,6 @@ class ServiceConfig:
     checkpoint: Path = DEFAULT_CHECKPOINT
     resume: bool = True
     promote: bool = True  # promote the shard store into the content store
-    slos: Optional[List[str]] = None  # extra SLO specs beyond the defaults
 
 
 class SimService:
@@ -149,18 +147,13 @@ class SimService:
         self._g_active = self.registry.gauge("service.campaigns.active")
         self._h_wall = self.registry.histogram("service.job.wall_ms")
         # submit-handler latency in µs, split warm (all jobs answered at
-        # submission time) vs cold — the warm side is what the p99 SLO
-        # judges against ROADMAP's "cache-hit answers in microseconds"
+        # submission time) vs cold
         self._h_submit_warm = self.registry.histogram(
             "service.submit.wall_us", kind="warm"
         )
         self._h_submit_cold = self.registry.histogram(
             "service.submit.wall_us", kind="cold"
         )
-        # telemetry plane: SLOs and the daemon's own tracer
-        self.slos = slo_mod.default_service_slos(self.config.max_queue)
-        for text in self.config.slos or []:
-            self.slos.append(slo_mod.parse_slo(text))
         self.tracer = self._daemon_tracer()
 
     def _daemon_tracer(self):
@@ -362,17 +355,12 @@ class SimService:
         experiments: Optional[List[str]] = None,
         campaign_id: Optional[str] = None,
         enforce_backpressure: bool = True,
-        parent: Optional[telemetry.TraceContext] = None,
     ) -> Tuple[CampaignState, Dict[str, int]]:
         """Admit one campaign: serve hits, subscribe overlaps, queue misses.
 
         Raises :class:`HttpError` 429 when the queued misses would not fit
         the bounded queue (checked before any state mutates, so a rejected
         submission leaves no trace).
-
-        ``parent`` is the submitting client's trace context (from the
-        ``X-Repro-Trace-Id`` headers); the campaign joins that trace, or
-        roots a fresh one when the daemon's own tracer is on.
         """
         jobs = list(dict.fromkeys(jobs))
         cached: Dict[str, SimResult] = {}
@@ -403,13 +391,6 @@ class SimService:
             jobs,
             experiments=experiments,
         )
-        # The campaign's place in the distributed trace: a child of the
-        # client's span when one arrived, else a fresh root (when the
-        # daemon traces at all — otherwise carry only what came in).
-        if parent is not None:
-            campaign.trace = parent.child()
-        elif self.tracer.enabled:
-            campaign.trace = telemetry.TraceContext.new()
         campaign.submitted_us = self._now_us()
         self.campaigns[campaign.id] = campaign
         self._active += 1
@@ -417,13 +398,10 @@ class SimService:
         self._m_jobs.inc(len(jobs))
         self._m_cached.inc(len(cached))
         self._m_deduped.inc(len(inflight))
-        if self.tracer.enabled and campaign.trace is not None:
+        if self.tracer.enabled:
             self.tracer.instant(
                 "daemon.campaign.submitted", "daemon", campaign.submitted_us,
-                id=campaign.id, client=client, jobs=len(jobs),
-                trace_id=campaign.trace.trace_id,
-                span_id=campaign.trace.span_id,
-                parent_id=campaign.trace.parent_id,
+                campaign=campaign.id, client=client, jobs=len(jobs),
             )
         # subscribe, queue and answer hits before the first await, so no
         # run can finish between the in-flight check above and its
@@ -435,10 +413,6 @@ class SimService:
             if run.started_us is not None:
                 campaign.transition(job.job_id, "running")
         for job in fresh:
-            if campaign.trace is not None:
-                # attached after dedupe/peek (trace is compare=False, so
-                # identity, cache key and queue membership are unchanged)
-                job = dataclasses.replace(job, trace=campaign.trace.child())
             run = _SharedRun(job)
             run.enqueued_us = self._now_us()
             run.subscribers.append((campaign, job))
@@ -523,18 +497,12 @@ class SimService:
         run.started_us = self._now_us()
         for campaign, sub_job in run.subscribers:
             campaign.transition(sub_job.job_id, "running")
-        if (
-            self.tracer.enabled and job.trace is not None
-            and run.enqueued_us is not None
-        ):
-            # queue-wait span: a sibling of the job's own run span
+        if self.tracer.enabled and run.enqueued_us is not None:
             self.tracer.span(
                 "daemon.queue", "daemon", run.enqueued_us,
                 max(1, run.started_us - run.enqueued_us),
-                job=job.describe(), job_id=job.job_id,
-                trace_id=job.trace.trace_id,
-                span_id=f"{job.trace.span_id}.q",
-                parent_id=job.trace.parent_id,
+                campaign=run.subscribers[0][0].id, job=job.describe(),
+                job_id=job.job_id,
             )
 
     def _on_outcome(
@@ -566,15 +534,13 @@ class SimService:
         run = self._runs.pop(job.job_id, None)
         payload: Optional[Dict[str, object]] = None
         wall_ms: Optional[float] = None
-        if self.tracer.enabled and job.trace is not None and run is not None:
+        if self.tracer.enabled and run is not None:
             started = run.started_us if run.started_us is not None else self._now_us()
             self.tracer.span(
                 "daemon.run", "daemon", started,
                 max(1, self._now_us() - started),
-                job=job.describe(), job_id=job.job_id, error=error,
-                trace_id=job.trace.trace_id,
-                span_id=job.trace.span_id,
-                parent_id=job.trace.parent_id,
+                campaign=run.subscribers[0][0].id, job=job.describe(),
+                job_id=job.job_id, error=error,
             )
         if result is not None and error is None:
             job.seed(result)
@@ -650,18 +616,12 @@ class SimService:
             self.registry.counter("service.campaigns.failed").inc()
         else:
             self._m_completed.inc()
-        if (
-            self.tracer.enabled and campaign.trace is not None
-            and campaign.submitted_us is not None
-        ):
+        if self.tracer.enabled and campaign.submitted_us is not None:
             self.tracer.span(
                 "daemon.campaign", "daemon", campaign.submitted_us,
                 max(1, self._now_us() - campaign.submitted_us),
-                id=campaign.id, client=campaign.client,
+                campaign=campaign.id, client=campaign.client,
                 status=campaign.status,
-                trace_id=campaign.trace.trace_id,
-                span_id=campaign.trace.span_id,
-                parent_id=campaign.trace.parent_id,
             )
         self._publish_gauges()
         snapshot = campaign.snapshot()
@@ -737,20 +697,7 @@ class SimService:
         if method == "GET" and path == "/healthz":
             writer.write(json_response(200, self.healthz()))
         elif method == "GET" and path == "/metrics":
-            # content negotiation: the pre-existing JSON payload stays the
-            # default (ServiceClient sends no Accept header); curl's */*
-            # and any text/plain / OpenMetrics ask get the exposition text
-            if telemetry.wants_prometheus(request.headers.get("accept", "")):
-                writer.write(
-                    text_response(
-                        200, telemetry.render_prometheus(self.registry),
-                        content_type="text/plain; version=0.0.4; charset=utf-8",
-                    )
-                )
-            else:
-                writer.write(json_response(200, self.registry.to_dict()))
-        elif method == "GET" and path == "/slo":
-            writer.write(json_response(200, self._slo_payload()))
+            writer.write(json_response(200, self.registry.to_dict()))
         elif method == "POST" and path == "/campaigns":
             await self._handle_submit(request, writer)
         elif method == "POST" and path == "/drain":
@@ -797,11 +744,10 @@ class SimService:
         campaign, breakdown = await self._register_campaign(
             jobs, client=client,
             experiments=[str(k) for k in payload.get("experiments") or []],
-            parent=telemetry.TraceContext.from_headers(request.headers),
         )
         wall_us = int((time.monotonic() - started) * 1e6)
         # warm = every job answered at submission time (cache/dedupe);
-        # cold = the pool got involved.  The warm p99 is an SLO input.
+        # cold = the pool got involved
         if breakdown["queued"] == 0:
             self._h_submit_warm.record(wall_us)
         else:
@@ -813,9 +759,6 @@ class SimService:
                     "id": campaign.id,
                     "status": campaign.status,
                     "jobs": len(campaign.jobs),
-                    "trace_id": (
-                        campaign.trace.trace_id if campaign.trace else None
-                    ),
                     **breakdown,
                 },
             )
@@ -866,6 +809,7 @@ class SimService:
                     fault_rate=float(defaults["fault_rate"]),
                     ecc=str(defaults["ecc"]),
                 )
+                check_params(params)
             except (TypeError, ValueError) as exc:
                 raise HttpError(400, f"malformed parameters: {exc}")
             jobs.extend(
@@ -968,14 +912,6 @@ class SimService:
 
     # -- introspection -------------------------------------------------------
 
-    def _slo_payload(self) -> Dict[str, object]:
-        """Every SLO judged against the live registry."""
-        statuses = slo_mod.evaluate(self.slos, self.registry.to_dict())
-        return {
-            "ok": slo_mod.healthy(statuses),
-            "results": [status.to_dict() for status in statuses],
-        }
-
     def healthz(self) -> Dict[str, object]:
         by_status: Dict[str, int] = {}
         for campaign in self.campaigns.values():
@@ -994,7 +930,6 @@ class SimService:
             "campaigns": by_status,
             "cache": runner_mod.cache_stats(),
             "content_store": self.store.stats(),
-            "slo": self._slo_payload(),
         }
 
 

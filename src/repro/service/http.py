@@ -168,7 +168,7 @@ def text_response(
     content_type: str = "text/plain; charset=utf-8",
     extra_headers: Optional[Dict[str, str]] = None,
 ) -> bytes:
-    """A plain-text response (the Prometheus exposition endpoint)."""
+    """A plain-text response (the run table's CSV download)."""
     return response_bytes(
         status, text.encode("utf-8"),
         content_type=content_type, extra_headers=extra_headers,

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import os
 import tempfile
 import time
@@ -30,6 +31,7 @@ from typing import Dict, List, Optional
 
 from repro.exec.job import Job, make_job
 from repro.exec.progress import ProgressSnapshot
+from repro.resilience.ecc import SCHEMES
 from repro.sim.engine import SimulationParams
 from repro.sim.stats import LatencyHistogram
 
@@ -62,14 +64,36 @@ def job_to_spec(job: Job) -> Dict[str, object]:
     return spec
 
 
+def check_params(params: SimulationParams) -> None:
+    """Reject run parameters no simulation can mean (``ValueError``).
+
+    An ``ecc`` outside :data:`~repro.resilience.ecc.SCHEMES`, a negative
+    or non-finite ``fault_rate`` and a ``warmup_fraction`` outside
+    [0, 1) would each be simulated, cached under a key of their own, or
+    fail only inside a worker.
+    """
+    if params.ecc not in SCHEMES:
+        raise ValueError(
+            f"unknown ecc {params.ecc!r}; known: {', '.join(SCHEMES)}"
+        )
+    if not (math.isfinite(params.fault_rate) and params.fault_rate >= 0):
+        raise ValueError(
+            f"fault_rate must be finite and >= 0, got {params.fault_rate}"
+        )
+    if not 0 <= params.warmup_fraction < 1:
+        raise ValueError(
+            f"warmup_fraction must be in [0, 1), got {params.warmup_fraction}"
+        )
+
+
 def job_from_spec(spec: Dict[str, object]) -> Job:
     """Rebuild a job; raises ``ValueError`` on a malformed spec.
 
     The workload and config names are resolved here, so an unknown name,
-    a scale below 1 or fewer than 1 access per core is rejected before a
-    campaign is registered, not inside a worker or the key lookup of a
-    half-admitted one.  Only an absent (or null) ``accesses`` means the
-    default.
+    a scale below 1, fewer than 1 access per core or parameters that
+    :func:`check_params` rejects fail before a campaign is registered,
+    not inside a worker or the key lookup of a half-admitted one.  Only
+    an absent (or null) ``accesses`` means the default.
     """
     if not isinstance(spec, dict):
         raise ValueError(f"job spec is {type(spec).__name__}, not an object")
@@ -115,6 +139,7 @@ def job_from_spec(spec: Dict[str, object]) -> Job:
         raise ValueError(f"job spec scale must be >= 1, got {scale}")
     if rep < 0:
         raise ValueError(f"job spec rep must be >= 0, got {rep}")
+    check_params(params)
     try:
         named_config_digest(spec["config"], scale)
     except KeyError as exc:
@@ -172,11 +197,6 @@ class CampaignState:
         self.results: Dict[str, object] = {}
         self.status = "running"  # running | completed | failed | drained
         self.events: List[Dict[str, object]] = []
-        # distributed-trace coordinates, set by the daemon at admission
-        # when the submission carried trace headers (or tracing is on);
-        # checkpoints persist job *specs* only, so a resumed campaign
-        # roots a fresh trace rather than forging the old one.
-        self.trace = None  # Optional[repro.obs.telemetry.TraceContext]
         self.submitted_us: Optional[int] = None
         self._event_cond = asyncio.Condition()
         self._started = time.monotonic()
@@ -260,7 +280,6 @@ class CampaignState:
             "failed": self.failed,
             "running": self.running,
             "cached": self.cached,
-            "trace_id": self.trace.trace_id if self.trace else None,
             "progress": self.snapshot().to_dict(),
         }
 

@@ -114,10 +114,13 @@ class MemorySystem:
             # Component attribution: wrap the *instances'* hot methods in
             # profiler frames.  Applied only when profiling is enabled, so
             # unprofiled runs keep the original unwrapped bound methods.
-            # The compressor instance is shared with the pair-size cache,
-            # so one wrap covers both install- and probe-side codec calls;
-            # it is this run's own (the line store shares only its memos),
-            # so the wrap ends with the run.
+            # The codec wrap sees the L4's own sizing calls only: the
+            # pair-size cache bound the compressor's method before this
+            # wrap, so a pair miss's sizing stays in its caller's self
+            # time and the frame's count does not depend on how warm the
+            # line store's pair memo is.  The compressor is this run's own
+            # (the line store shares only its memos), so the wrap ends
+            # with the run.
             # Frames that model simulated time are charged the cycles from
             # their start argument to the finish cycle they return; L4
             # prefetch probes share the l4.lookup frame with demand reads.

@@ -113,6 +113,48 @@ def test_accesses_below_one_is_usage_error(accesses):
     assert exc_info.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fig13", "--fault-rate", "-1"],
+        ["fig13", "--fault-rate", "nan"],
+        ["all", "--experiments", "fig13", "--fault-rate", "inf"],
+        ["manifest", "show", "mcf", "dice", "--fault-rate", "-1"],
+        ["submit", "fig13", "--fault-rate", "nan"],
+    ],
+    ids=["fig13-negative", "fig13-nan", "all-inf", "manifest-negative",
+         "submit-nan"],
+)
+def test_meaningless_fault_rate_is_usage_error(argv, capsys):
+    """A negative or non-finite rate used to run the fault-free campaign."""
+    with pytest.raises(SystemExit) as exc_info:
+        main([*argv, "--accesses", "100"])
+    assert exc_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --fault-rate: must be finite and >= 0" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["slo", "check"], "unrecognized arguments: check"),
+        (["trace", "stitch", "a.jsonl", "b.jsonl"], "invalid choice: 'stitch'"),
+        (["submit", "fig13", "--trace", "t.jsonl"],
+         "unrecognized arguments: --trace t.jsonl"),
+        (["serve", "--slo", "x"], "unrecognized arguments: --slo x"),
+    ],
+    ids=["slo-check", "trace-stitch", "submit-trace", "serve-slo"],
+)
+def test_removed_telemetry_commands_are_usage_errors(argv, message, capsys):
+    """The trace-stitching, client-span and SLO commands are gone: each
+    is an argparse usage error, not a failed lookup of a daemon or file."""
+    with pytest.raises(SystemExit) as exc_info:
+        main(argv)
+    assert exc_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and message in err
+
+
 def _cli(args, env=None, **kwargs):
     """``python -m repro.harness.cli ARGS`` in a fresh interpreter, so
     the environment defaults are read at import as a user's shell sets

@@ -36,6 +36,18 @@ from repro.sim.engine import SimulationParams, run_workload
 
 TINY = {"accesses": 120, "seed": 9}
 
+# Run parameters no simulation can mean: each is rejected at admission.
+BAD_RUN_PARAMS = (
+    {"ecc": "bogus"},
+    {"ecc": "bogus", "fault_rate": 3e12},  # used to fail only in the worker
+    {"fault_rate": -1},
+    {"fault_rate": float("nan")},
+    {"fault_rate": float("inf")},
+    {"warmup_fraction": 1.5},
+    {"warmup_fraction": 1.0},
+    {"warmup_fraction": -0.2},
+)
+
 
 def _specs(*pairs, **overrides):
     merged = {**TINY, **overrides}
@@ -282,58 +294,45 @@ class TestStreamingAndIntrospection:
             assert counter in health["cache"]
         assert health["content_store"]["objects"] == 1
         assert health["campaigns"] == {"completed": 1}
+        assert health["clients"] == {"health": 0}
         metrics = daemon.client.metrics()
         assert metrics["counters"]["service.campaigns.completed"] == 1
         assert "service.job.wall_ms" in metrics["histograms"]
 
-    def test_metrics_content_negotiation(self, daemon):
-        import os
-        import sys
+    def test_slo_route_is_gone(self, daemon):
+        with pytest.raises(ServiceError) as excinfo:
+            daemon.client._request("GET", "/slo")
+        assert excinfo.value.status == 404
 
-        sys.path.insert(
-            0, os.path.join(os.path.dirname(__file__), "..", "scripts")
+    def test_metrics_answer_json_whatever_the_accept_header(self, daemon):
+        import http.client
+        import json
+
+        for accept in ("text/plain", "*/*", "application/openmetrics-text"):
+            conn = http.client.HTTPConnection(
+                "127.0.0.1", daemon.service.port, timeout=60
+            )
+            try:
+                conn.request("GET", "/metrics", headers={"Accept": accept})
+                response = conn.getresponse()
+                assert response.status == 200
+                assert response.getheader("Content-Type").startswith(
+                    "application/json"
+                )
+                body = json.loads(response.read())
+            finally:
+                conn.close()
+            assert set(body) == {"counters", "gauges", "histograms", "trackers"}
+            assert "service.jobs.total" in body["counters"]
+
+    def test_healthz_and_acceptance_carry_no_telemetry_keys(self, daemon):
+        accepted = daemon.client.submit(
+            jobs=_specs(("mix1", "base")), client="plain"
         )
-        import promlint
-
-        daemon.client.run_campaign(
-            jobs=_specs(("mix1", "base")), client="prom"
-        )
-        # no Accept header (stdlib client): the JSON payload, unchanged
-        metrics = daemon.client.metrics()
-        assert "counters" in metrics
-        # Accept: text/plain → promlint-clean Prometheus exposition
-        text = daemon.client.metrics_text()
-        assert promlint.lint(text) == []
-        assert "# TYPE repro_service_jobs_total counter" in text
-
-    def test_slo_endpoint_and_healthz_verdict(self, daemon):
-        daemon.client.run_campaign(
-            jobs=_specs(("mix1", "base")), client="slo"
-        )
-        # the dedupe-rate objective needs a cache hit to clear its floor
-        daemon.client.submit(jobs=_specs(("mix1", "base")), client="slo")
-        doc = daemon.client.slo()
-        names = {r["name"] for r in doc["results"]}
-        assert {"queue_depth", "crash_budget"} <= names
-        assert doc["ok"] is True
-        health = daemon.client.healthz()
-        assert health["slo"]["ok"] is True
-        assert "clients" in health
-
-    def test_trace_headers_parent_the_campaign_span(self, daemon):
-        from repro.obs.telemetry import TraceContext
-
-        ctx = TraceContext.new()
-        final = daemon.client.run_campaign(
-            jobs=_specs(("mix1", "base")), client="traced", trace=ctx
-        )
-        assert final["final"].get("status") == "completed"
-        campaign = daemon.service.campaigns[
-            str(final["submitted"]["id"])
-        ]
-        assert campaign.trace is not None
-        assert campaign.trace.trace_id == ctx.trace_id
-        assert campaign.trace.parent_id == ctx.span_id
+        assert "trace_id" not in accepted
+        list(daemon.client.events(str(accepted["id"])))
+        assert "trace_id" not in daemon.client.campaign(str(accepted["id"]))
+        assert "slo" not in daemon.client.healthz()
 
     def test_unknown_routes_and_campaigns_are_404(self, daemon):
         with pytest.raises(ServiceError) as excinfo:
@@ -358,14 +357,74 @@ class TestStreamingAndIntrospection:
             {"config": "warp-drive"}, {"scale": 0},
             {"workload": "no-such-workload"}, {"accesses": -5},
             {"accesses": 0},  # an error, not the default
+            *BAD_RUN_PARAMS,
         ):
             with pytest.raises(ServiceError) as excinfo:
                 daemon.client.submit(jobs=[{**_specs(("mcf", "base"))[0], **bad}])
             assert excinfo.value.status == 400
-        with pytest.raises(ServiceError) as excinfo:
-            daemon.client.submit(experiments=["fig13"], accesses=-5)
-        assert excinfo.value.status == 400
+        # an experiment submission takes fault_rate and ecc, not warmup
+        for bad in (
+            {"accesses": -5},
+            *(bad for bad in BAD_RUN_PARAMS if "warmup_fraction" not in bad),
+        ):
+            with pytest.raises(ServiceError) as excinfo:
+                daemon.client.submit(experiments=["fig13"], **bad)
+            assert excinfo.value.status == 400
         assert daemon.client._request("GET", "/campaigns") == {"campaigns": []}
+        assert daemon.counters()["service.campaigns.submitted"] == 0
+
+
+class TestDaemonTrace:
+    def test_traced_daemon_writes_its_lifecycle_with_campaign_and_job_ids(
+        self, isolated_cache, tmp_path
+    ):
+        import repro.obs as obs
+
+        obs.configure(trace=str(tmp_path / "svc.jsonl"))
+        try:
+            handle = DaemonHandle(
+                ServiceConfig(
+                    port=0, workers=1, max_queue=8,
+                    checkpoint=tmp_path / "service_ckpt.json",
+                )
+            ).start()
+            try:
+                jobs = _specs(("mix1", "base"))
+                cold = handle.client.run_campaign(jobs=jobs, client="traced")
+                warm = handle.client.submit(jobs=jobs, client="traced")
+                assert warm["queued"] == 0 and warm["cached"] == 1
+            finally:
+                handle.drain()
+        finally:
+            obs.reset_configuration()
+        assert cold["final"]["status"] == "completed"
+        (job_id,) = cold["results"]
+        cold_id, warm_id = str(cold["id"]), str(warm["id"])
+
+        path = tmp_path / "svc.daemon.jsonl"
+        events = obs.read_events(path)
+        by_name = {}
+        for event in events:
+            by_name.setdefault(event["name"], []).append(event["args"])
+        assert [a["campaign"] for a in by_name["daemon.campaign.submitted"]] == [
+            cold_id, warm_id,
+        ]
+        assert [a["campaign"] for a in by_name["daemon.campaign"]] == [
+            cold_id, warm_id,
+        ]
+        assert all(a["status"] == "completed" for a in by_name["daemon.campaign"])
+        # only the fresh job queued and ran; the resubmission was a hit
+        for name in ("daemon.queue", "daemon.run"):
+            (args,) = by_name[name]
+            assert args["campaign"] == cold_id
+            assert args["job_id"] == job_id
+        for event in events:
+            assert not {"trace_id", "span_id", "parent_id"} & set(event["args"])
+        assert obs.summarize_trace(path)["exec"]["daemon"] == {
+            "campaign": 2, "campaign.submitted": 2, "queue": 1, "run": 1,
+        }
+        # the sole worker traced its simulation under the plain name
+        assert obs.summarize_trace(tmp_path / "svc.jsonl")["by_name"]["l4.read"]
 
 
 class TestBackpressure:
@@ -775,6 +834,23 @@ class TestJobSpecs:
         assert rebuilt == job
         assert rebuilt.rep == 3
         assert rebuilt.cache_key == job.cache_key
+
+    @pytest.mark.parametrize("bad", BAD_RUN_PARAMS, ids=repr)
+    def test_meaningless_run_parameters_are_rejected(self, bad):
+        from repro.service.state import job_from_spec
+
+        base = {"workload": "mcf", "config": "dice", "accesses": 120}
+        with pytest.raises(ValueError):
+            job_from_spec({**base, **bad})
+
+    def test_zero_warmup_stays_valid(self):
+        from repro.service.state import job_from_spec
+
+        job = job_from_spec(
+            {"workload": "mcf", "config": "dice", "accesses": 120,
+             "warmup_fraction": 0.0, "fault_rate": 0.0, "ecc": "none"}
+        )
+        assert job.params.warmup_fraction == 0.0
 
     def test_unknown_config_and_bad_scale_are_rejected(self):
         from repro.service.state import job_from_spec

@@ -166,13 +166,11 @@ class TestSharedStoreRuns:
         assert shared == fresh
 
         def frames(path):
-            # A codec frame's calls include the pair-size cache's misses,
-            # which a warm store's pair memo answers; every other frame's
-            # calls, and every frame's simulated cycles, are the run's own.
+            # Every frame's calls and simulated cycles are the run's own:
+            # the codec frame does not count the pair-size cache's misses,
+            # which a warm store's pair memo answers.
             return sorted(
-                (f["stack"], f["cycles"],
-                 None if f["stack"].endswith("codec.compressed_size")
-                 else f["calls"])
+                (f["stack"], f["cycles"], f["calls"])
                 for f in read_profile(path)["frames"]
             )
 
