@@ -1,6 +1,6 @@
 # Convenience targets for the DICE reproduction.
 
-.PHONY: install test check chaos serve service-smoke bench bench-parallel bench-core bench-gate report flight run-table examples clean
+.PHONY: install test check chaos serve service-smoke bench-parallel bench-core bench-gate report flight run-table examples clean
 
 install:
 	python setup.py develop
@@ -30,9 +30,6 @@ serve:
 service-smoke:
 	PYTHONPATH=src REPRO_ACCESSES=300 python scripts/service_smoke.py
 
-bench:
-	python -m pytest benchmarks/ --benchmark-only -q -s
-
 # Serial vs parallel wall-clock on a cold cache; writes BENCH_parallel.json.
 bench-parallel:
 	PYTHONPATH=src python scripts/bench_parallel.py
@@ -50,7 +47,7 @@ bench-gate:
 		--out BENCH_core.ci.json
 
 report:
-	python -m repro.analysis.report EXPERIMENTS.md
+	PYTHONPATH=src python -m repro.analysis.report EXPERIMENTS.md
 
 # Fidelity scoreboard + drift check against FIDELITY_baseline.json.
 flight:
@@ -79,7 +76,7 @@ clean:
 	rm -rf .sim_cache.d .sim_cache.cas
 	rm -f .service_checkpoint.json
 	rm -f BENCH_parallel.json
-	rm -f .campaign_flight.json BENCH_core.ci.json FLIGHT_report.md FLIGHT_report.html
+	rm -f BENCH_core.ci.json FLIGHT_report.md FLIGHT_report.html
 	rm -f run_table.csv FLIGHT_runtable.md
 	rm -f *.prof.json *.collapsed.txt
 	rm -f test_output.txt bench_output.txt

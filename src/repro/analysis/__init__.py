@@ -1,22 +1,7 @@
-"""Result analysis: paper reference values, comparisons, report generation.
+"""Result analysis: EXPERIMENTS.md generation, the flight report, run
+tables and repetition statistics.
 
-`repro.analysis.paper` centralizes the numbers the paper reports for every
-figure and table; `repro.analysis.report` renders measured-vs-paper
-comparisons and generates EXPERIMENTS.md from the (cached) simulation
-results.
+Import the submodule you need (`repro.analysis.report`, `.flight`,
+`.runtable`, `.stats`); the paper's reported values live with the claims
+judged on them, in `repro.obs.fidelity`.
 """
-
-from repro.analysis.paper import PAPER_REFERENCE, paper_value
-from repro.analysis.report import (
-    experiment_section,
-    render_comparison,
-    write_experiments_md,
-)
-
-__all__ = [
-    "PAPER_REFERENCE",
-    "paper_value",
-    "experiment_section",
-    "render_comparison",
-    "write_experiments_md",
-]

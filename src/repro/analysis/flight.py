@@ -4,10 +4,8 @@
 about a campaign into a single reviewable artifact:
 
 * the **fidelity scoreboard** (:mod:`repro.obs.fidelity`) — every
-  experiment's summary keys vs the paper's targets, shape-check
-  outcomes, and the drift verdict against ``FIDELITY_baseline.json``;
-* per-experiment **campaign timings** (written by ``cli all`` to
-  ``.campaign_flight.json``);
+  experiment's summary keys vs the paper's targets, the outcome of each
+  paper claim, and the drift verdict against ``FIDELITY_baseline.json``;
 * the **top-N self-profile entries** of a ``*.prof.json`` run;
 * a **metrics snapshot** (counters/gauges of a ``metrics.json`` export);
 * a **trace summary** (the ``trace summarize`` aggregation).
@@ -21,7 +19,6 @@ in a dependency-free single-file HTML document.
 from __future__ import annotations
 
 import html
-import json
 from pathlib import Path
 from typing import Dict, List, Optional
 
@@ -33,22 +30,6 @@ from repro.obs.fidelity import (
 
 FLIGHT_DATA_VERSION = 1
 
-DEFAULT_CAMPAIGN_FLIGHT = Path(".campaign_flight.json")
-
-
-def load_campaign_flight(path=DEFAULT_CAMPAIGN_FLIGHT) -> Optional[Dict]:
-    """Per-step campaign timings written by ``cli all``, if present."""
-    path = Path(path)
-    if not path.exists():
-        return None
-    try:
-        payload = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError):
-        return None
-    if not isinstance(payload, dict) or "steps" not in payload:
-        return None
-    return payload
-
 
 def build_flight_data(
     scoreboard: Dict[str, FidelityScore],
@@ -56,7 +37,6 @@ def build_flight_data(
     *,
     context: Optional[Dict[str, object]] = None,
     baseline_path: Optional[str] = None,
-    campaign: Optional[Dict] = None,
     profile: Optional[Dict] = None,
     metrics: Optional[Dict] = None,
     trace_summary: Optional[Dict] = None,
@@ -76,7 +56,6 @@ def build_flight_data(
         "baseline_path": baseline_path,
         "scoreboard": scoreboard,
         "flags": list(flags or []),
-        "campaign": campaign,
         "profile_top": top_frames(profile, top) if profile else None,
         "profile_meta": (profile or {}).get("meta"),
         "metrics": metrics,
@@ -101,67 +80,6 @@ def _verdict_line(data: Dict[str, object]) -> str:
     lines = [f"**Drift:** {len(flags)} out-of-band movement(s):", ""]
     lines += [f"- {flag.describe()}" for flag in flags]
     return "\n".join(lines)
-
-
-def campaign_repetition_counts(campaign: Optional[Dict]) -> Dict[str, int]:
-    """Per-experiment repetition counts recorded in the flight data.
-
-    Steps written before the statistics era (or by hand) may lack the
-    ``repetitions`` field entirely — they are simply absent here, never
-    an error.
-    """
-    counts: Dict[str, int] = {}
-    for step in (campaign or {}).get("steps", []):
-        reps = step.get("repetitions")
-        if isinstance(reps, int) and reps >= 1:
-            counts[str(step.get("name"))] = reps
-    return counts
-
-
-def mixed_repetitions_warning(campaign: Optional[Dict]) -> Optional[str]:
-    """A warning line when a campaign mixed repetition counts, else None."""
-    counts = campaign_repetition_counts(campaign)
-    distinct = sorted(set(counts.values()))
-    if len(distinct) <= 1:
-        return None
-    groups = ", ".join(
-        f"{n} rep(s): "
-        + ", ".join(sorted(k for k, v in counts.items() if v == n))
-        for n in distinct
-    )
-    return (
-        f"campaign mixes repetition counts across experiments ({groups}) — "
-        f"cross-experiment statistics compare different sample sizes"
-    )
-
-
-def _campaign_section(campaign: Optional[Dict]) -> List[str]:
-    if not campaign:
-        return ["_No campaign timing data (run `cli all` to record it)._"]
-    lines: List[str] = []
-    warning = mixed_repetitions_warning(campaign)
-    if warning:
-        lines += [f"⚠ **Warning:** {warning}", ""]
-    counts = campaign_repetition_counts(campaign)
-    if counts:
-        lines += ["| experiment | wall seconds | repetitions |", "|---|---:|---:|"]
-        for step in campaign.get("steps", []):
-            reps = counts.get(str(step.get("name")))
-            lines.append(
-                f"| {step['name']} | {step['seconds']:.2f} "
-                f"| {reps if reps is not None else '—'} |"
-            )
-    else:
-        lines += ["| experiment | wall seconds |", "|---|---:|"]
-        for step in campaign.get("steps", []):
-            lines.append(f"| {step['name']} | {step['seconds']:.2f} |")
-    total = campaign.get("total_seconds")
-    if total is not None:
-        lines.append(
-            f"| **total** | **{total:.2f}** |"
-            + (" — |" if counts else "")
-        )
-    return lines
 
 
 def _statistics_section(key_stats: Dict) -> List[str]:
@@ -253,10 +171,6 @@ def render_markdown(data: Dict[str, object]) -> str:
             if data.get("key_stats")
             else []
         ),
-        "## Campaign timings",
-        "",
-        *_campaign_section(data["campaign"]),
-        "",
         "## Self-profile (top frames by self wall time)",
         "",
         *_profile_section(data),

@@ -121,8 +121,8 @@ class CompressedSet:
 
     * ``"lru"`` (default) — least recently inserted/touched first;
     * ``"largest"`` — biggest compressed line first, which frees space
-      fastest but ignores recency (an ablation point: see
-      ``benchmarks/test_eviction_ablation.py``).
+      fastest but ignores recency (an ablation point: ``dice-evict-largest``
+      in the ``ablations`` experiment).
     """
 
     __slots__ = ("lines", "_lru", "tag_sharing", "victim_policy")

@@ -66,7 +66,7 @@ import os
 import sys
 from typing import List, Optional
 
-from repro.harness.campaign import Campaign, prefetch_experiments
+from repro.harness.campaign import prefetch_experiments
 from repro.harness import experiments
 from repro.harness.experiments import EXPERIMENTS  # re-exported for callers
 from repro.harness.report import format_table
@@ -583,11 +583,12 @@ def _report_command(argv: List[str]) -> int:
     """``repro report --flight`` — the flight-recorder report.
 
     Joins the fidelity scoreboard (graded against the committed
-    ``FIDELITY_baseline.json``), campaign timings, top self-profile
-    frames, a metrics snapshot, and a trace summary into one document.
-    ``--check`` exits :data:`EXIT_DRIFT` when any figure moved out of the
-    tolerance band; ``--update-baseline`` re-records the baseline at the
-    current parameters instead.
+    ``FIDELITY_baseline.json``), top self-profile frames, a metrics
+    snapshot, and a trace summary into one document.  Every paper claim
+    that fails is printed on stderr as ``claim fails: <experiment>:
+    <label>``.  ``--check`` exits :data:`EXIT_DRIFT` when any figure
+    moved out of the tolerance band; ``--update-baseline`` re-records the
+    baseline at the current parameters instead.
     """
     import json
     from pathlib import Path
@@ -663,12 +664,12 @@ def _report_command(argv: List[str]) -> int:
     context = fidelity.params_context(params)
     distributions = None
     if args.repetitions > 1:
-        summaries, distributions = fidelity.collect_summaries_repeated(
+        summaries, tables, distributions = fidelity.collect_results_repeated(
             params, experiments, repetitions=args.repetitions
         )
     else:
-        summaries = fidelity.collect_summaries(params, experiments)
-    scoreboard = fidelity.build_scoreboard(summaries)
+        summaries, tables = fidelity.collect_results(params, experiments)
+    scoreboard = fidelity.build_scoreboard(summaries, tables)
 
     if args.update_baseline:
         path = fidelity.write_baseline(
@@ -735,7 +736,6 @@ def _report_command(argv: List[str]) -> int:
         flags,
         context=context,
         baseline_path=baseline_used,
-        campaign=flight.load_campaign_flight(),
         profile=profile,
         metrics=metrics,
         trace_summary=trace_summary,
@@ -747,6 +747,10 @@ def _report_command(argv: List[str]) -> int:
     )
     out = flight.write_flight_report(args.out, data, fmt)
     print(f"wrote {out}")
+    for experiment, score in scoreboard.items():
+        for label, passed in score.shapes.items():
+            if not passed:
+                print(f"claim fails: {experiment}: {label}", file=sys.stderr)
     if key_stats:
         # one line per fidelity target: mean Δ, 95% CI, p-value
         for experiment in sorted(key_stats):
@@ -1239,25 +1243,15 @@ def main(argv=None) -> int:
         )
         if status != EXIT_OK:
             return status
-        campaign = Campaign(
-            [(key, lambda k=key: run_one(k, params)) for key in keys],
-            repetitions=(
-                {key: args.repetitions for key in keys}
-                if args.repetitions > 1
-                else None
-            ),
-        )
-        campaign.run(should_stop=lambda: shutdown.requested)
-        if campaign.interrupted:
-            print(
-                f"interrupted: campaign stopped after "
-                f"{len(campaign.completed)} of {len(campaign.steps)} "
-                f"experiments; re-run to resume",
-                file=sys.stderr,
-            )
-            return EXIT_INTERRUPTED
-        # per-step timings feed `report --flight`'s campaign section
-        campaign.write_flight_data()
+        for done, key in enumerate(keys):
+            if shutdown.requested:
+                print(
+                    f"interrupted: campaign stopped after {done} of "
+                    f"{len(keys)} experiments; re-run to resume",
+                    file=sys.stderr,
+                )
+                return EXIT_INTERRUPTED
+            run_one(key, params)
     return EXIT_OK
 
 

@@ -2,8 +2,9 @@
 
 Every driver returns ``(headers, rows, summary)`` where rows are per-workload
 results and ``summary`` aggregates over the paper's reporting groups.  The
-benchmark files print these with :func:`repro.harness.report.format_table`,
-producing the same rows/series the paper reports.
+CLI prints these with :func:`repro.harness.report.format_table`, producing
+the same rows/series the paper reports, and :mod:`repro.obs.fidelity`
+judges the paper's claims on them.
 
 Each driver also carries a ``.plan(params)`` attribute declaring the
 ``(workload, config, params)`` simulations it will request from the result
@@ -462,6 +463,25 @@ def _faults_plan(params: Optional[SimulationParams] = None):
 ext_faults.plan = _faults_plan
 
 
+# -- Extension: ablations of DICE's mechanisms, and LCP-style compression --------------
+
+ABLATION_CONFIGS: Tuple[str, ...] = (
+    "dice", "dice-cip-none", "dice-cip-oracle", "dice-noshare",
+    "dice-evict-largest", "bai", "nsi", "lcp",
+)
+"""DICE with index prediction off or perfect, tag sharing off and a
+largest-first set victim; BAI beside the naive spatial index it refines
+(Sec 4.5); and an LCP-style fixed-target design (Sec 2.2 / 7.2)."""
+
+
+def ext_ablations(params: Optional[SimulationParams] = None):
+    """Extension: speedup of each ablated design (DESIGN.md Sec 6)."""
+    return _speedup_experiment(list(ABLATION_CONFIGS), params=params)
+
+
+ext_ablations.plan = _speedup_plan(ABLATION_CONFIGS)
+
+
 # -- Sec 5.3: CIP accuracy ------------------------------------------------------------
 
 def sec53_cip_accuracy(params: Optional[SimulationParams] = None):
@@ -511,4 +531,5 @@ EXPERIMENTS: Dict[str, Tuple[str, Optional[Callable]]] = {
     "table8": ("Table 8: design-point sensitivity", table8_sensitivity),
     "cip": ("Sec 5.3: CIP accuracy", sec53_cip_accuracy),
     "faults": ("Extension: resilience under injected DRAM faults", ext_faults),
+    "ablations": ("Extension: ablations and LCP-style compression", ext_ablations),
 }

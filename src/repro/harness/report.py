@@ -21,7 +21,7 @@ def format_table(
     rows: Sequence[Sequence[object]],
     title: str = "",
 ) -> str:
-    """Fixed-width table suitable for bench stdout (tee'd into reports)."""
+    """Fixed-width table suitable for CLI stdout (tee'd into reports)."""
     str_rows: List[List[str]] = [
         [_fmt(cell) for cell in row] for row in rows
     ]

@@ -1,19 +1,19 @@
-"""Paper-fidelity scoreboard: targets, grades, baseline, drift detection.
+"""Paper-fidelity scoreboard: targets, claims, baseline, drift detection.
 
-The reproduction's accuracy used to live as prose in EXPERIMENTS.md; this
-module makes it machine-checked.  Four pieces:
+The reproduction's accuracy is machine-checked here, in four pieces:
 
-* :data:`PAPER_TARGETS` — the paper's reported values per figure/table
-  (lifted out of ``analysis/paper.py``, which now re-exports them), in
-  the same units the experiment drivers produce;
+* :data:`PAPER_TARGETS` — the paper's reported values per figure/table,
+  in the same units the experiment drivers produce;
+* :data:`SHAPE_CHECKS` — the paper's qualitative claims (orderings,
+  bounds, "never degrades a workload"), the one list of them, judged on
+  each experiment's summary and table;
 * :class:`FidelityScore` — one experiment's grade: per-summary-key
-  magnitude deltas against the paper plus *shape* assertions (orderings,
-  crossovers, bounds) evaluated from :data:`SHAPE_CHECKS`;
+  magnitude deltas against the paper plus the outcome of every claim;
 * a committed baseline (``FIDELITY_baseline.json``) recording every
-  score at a pinned parameter context, written/read here;
-* :func:`detect_drift` — flags any key whose delta-to-paper moved beyond
-  a tolerance band *between runs*, any non-paper key whose measured
-  value moved relatively, and any shape assertion that flipped.
+  score at a pinned parameter context, written/read here, and
+  :func:`detect_drift`, which flags any key whose delta-to-paper moved
+  beyond a tolerance band *between runs*, any non-paper key whose
+  measured value moved relatively, and any claim whose outcome flipped.
 
 Drift is movement **relative to the committed baseline**, not distance
 to the paper: a smoke-scale run can sit far from the paper's magnitudes
@@ -24,7 +24,7 @@ change.  A baseline written at different parameters refuses comparison
 (:class:`BaselineContextMismatch`) instead of producing false drift.
 
 Repetition campaigns upgrade the verdicts from point estimates to
-statistics: :func:`collect_summaries_repeated` gathers one summary per
+statistics: :func:`collect_results_repeated` gathers one summary per
 derived-seed repetition, and :func:`detect_drift` with ``distributions``
 reports each movement as *mean Δ with a bootstrap 95% CI and a sign-flip
 p-value* (see :mod:`repro.analysis.stats`).  A single-rep campaign passes
@@ -39,13 +39,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
-# NOTE: repro.analysis.stats is imported lazily inside the functions that
-# need it — repro.analysis.__init__ pulls in analysis.paper, which
-# re-exports PAPER_TARGETS from *this* module, so a top-level import here
-# would close that cycle against a partially-initialized fidelity module.
+from repro.analysis.stats import bootstrap_ci, sign_permutation_test
 
 #: type alias: experiment -> summary key -> one value per repetition
 Distributions = Dict[str, Dict[str, List[float]]]
+
+#: type alias: an experiment's table as its driver returns it (headers, rows)
+Table = Tuple[List[str], List[list]]
 
 BASELINE_SCHEMA = 1
 
@@ -171,62 +171,161 @@ def paper_value(experiment: str, key: str) -> Optional[float]:
 
 
 # ---------------------------------------------------------------------------
-# shape assertions
+# shape assertions: the paper's claims
 #
-# Each check is a data tuple over an experiment's *summary* keys:
-#   ("gt", a, b)           summary[a] >  summary[b]
-#   ("ge", a, b)           summary[a] >= summary[b]
-#   ("gt_const", a, c)     summary[a] >  c
-#   ("lt_const", a, c)     summary[a] <  c
-#   ("between", a, lo, hi) lo <= summary[a] <= hi
+# Each check is a data tuple over operands of one experiment's results:
+#   ("gt", a, b[, m])       a >  b + m   (margin m, default 0)
+#   ("ge", a, b[, m])       a >= b + m
+#   ("gt_const", a, c)      a >  c
+#   ("lt_const", a, c)      a <  c
+#   ("between", a, lo, hi)  lo <= a <= hi
+#   ("retains", a, b, f)    a - 1 > f * (b - 1): a keeps share f of b's gain
+#
+# An operand names a summary key ("dice/ALL26"), a table cell
+# ("libq[bai]": column "bai" of the row whose first cell is "libq"), or a
+# column in every row ("*[dice]": the claim must hold in each row).
 #
 # Shapes are the paper's qualitative claims (DICE beats the static
-# schemes, BAI recovers more capacity than TSI, …).  A shape may fail at
-# smoke access counts — the baseline records the outcome, and drift
-# detection flags only a *flip*, not a standing failure.
+# schemes, BAI recovers more capacity than TSI, …).  A claim may fail at
+# smoke access counts — the baseline records the outcome, drift detection
+# flags only a *flip*, and ``report --flight`` prints every failure.
+
+_COMPRESSIBLE = ("soplex", "gcc", "astar")
+_INCOMPRESSIBLE = ("lbm", "libq", "Gems")
 
 SHAPE_CHECKS: Dict[str, Tuple[tuple, ...]] = {
     "fig1": (
         ("gt", "2xcap2xbw/ALL26", "2xcap/ALL26"),
         ("gt_const", "2xcap/ALL26", 1.0),
+        ("gt_const", "2xcap2xbw/ALL26", 1.0),
     ),
     "fig4": (
         ("ge", "single<=36", "single<=32"),
         ("between", "double<=68", 0.0, 100.0),
+        ("between", "double<=68", 25.0, 80.0),
+        ("ge", "*[single<=36]", "*[single<=32]"),
+        # the compressible standouts' pairs fit one TAD more often
+        *(
+            ("gt", f"{c}[double<=68]", f"{i}[double<=68]")
+            for c in _COMPRESSIBLE
+            for i in _INCOMPRESSIBLE
+        ),
     ),
     "fig7": (
         ("gt", "2xcap2xbw/ALL26", "2xcap/ALL26"),
         ("gt_const", "tsi/ALL26", 0.9),
+        ("gt_const", "*[tsi]", 0.95),
+        # BAI thrashes incompressible streams, wins on compressible ones
+        ("lt_const", "libq[bai]", 0.9),
+        ("lt_const", "lbm[bai]", 1.0),
+        ("gt_const", "soplex[bai]", 1.05),
+        ("gt_const", "zeusmp[bai]", 1.05),
+        ("gt", "2xcap2xbw/ALL26", "bai/ALL26"),
     ),
     "fig10": (
         ("gt", "dice/ALL26", "tsi/ALL26"),
         ("gt", "dice/ALL26", "bai/ALL26"),
         ("gt_const", "dice/ALL26", 1.0),
+        ("gt_const", "dice/ALL26", 1.05),
+        ("gt_const", "*[dice]", 0.97),  # DICE never degrades a workload
+        ("gt", "dice/GAP", "dice/SPEC RATE"),
     ),
     "fig11": (
         ("between", "decided/tsi_share", 0.0, 100.0),
-        ("between", "decided/bai_share", 0.0, 100.0),
+        ("between", "decided/bai_share", 15.0, 85.0),
+        ("between", "*[invariant%]", 30.0, 70.0),
+        ("gt", "libq[tsi%]", "libq[bai%]"),
+        ("gt", "soplex[bai%]", "soplex[tsi%]"),
     ),
-    "fig12": (("ge", "dice/ALL26", "dice-knl/ALL26"),),
-    "fig13": (("between", "gmean", 0.8, 1.2),),
+    "fig12": (
+        ("ge", "dice/ALL26", "dice-knl/ALL26"),
+        ("gt_const", "dice-knl/ALL26", 1.0),
+        ("retains", "dice-knl/ALL26", "dice/ALL26", 0.5),
+    ),
+    "fig13": (
+        ("between", "gmean", 0.99, 1.2),
+        ("gt_const", "*[dice]", 0.97),
+    ),
     "fig14": (
         ("lt_const", "dice/energy", 1.0),
         ("lt_const", "dice/edp", 1.0),
+        ("gt", "dice/energy", "dice/edp"),
+        ("gt", "tsi/edp", "dice/edp"),
+        ("gt", "bai/edp", "dice/edp"),
     ),
-    "fig15": (("gt", "dice/ALL26", "scc/ALL26"),),
-    "table4": (("gt_const", "dice/ALL26", 1.0),),
+    "fig15": (
+        ("gt", "dice/ALL26", "scc/ALL26"),
+        ("gt", "dice/ALL26", "scc/ALL26", 0.15),
+        ("lt_const", "scc/ALL26", 1.0),
+        ("gt_const", "dice/ALL26", 1.05),
+    ),
+    "table4": (
+        ("gt_const", "dice/ALL26", 1.0),
+        ("gt_const", "dice-t32/ALL26", 1.0),
+        ("gt_const", "dice-t40/ALL26", 1.0),
+        ("ge", "dice/ALL26", "dice-t32/ALL26", -0.01),
+        ("ge", "dice/ALL26", "dice-t40/ALL26", -0.01),
+    ),
     "table5": (
         ("gt", "bai/ALL26", "tsi/ALL26"),
         ("gt_const", "dice/ALL26", 1.0),
+        ("gt_const", "tsi/ALL26", 1.0),
+        ("gt", "dice/GAP", "dice/SPEC RATE"),
+        ("gt_const", "dice/GAP", 1.5),
+        ("gt", "dice/GAP", "tsi/GAP", -0.1),
     ),
-    "table6": (("gt", "dice/AVG26", "base/AVG26"),),
-    "table7": (("ge", "dice-nextline/ALL26", "dice/ALL26"),),
-    "table8": (("gt_const", "base(1GB)/ALL26", 1.0),),
+    "table6": (
+        ("gt", "dice/AVG26", "base/AVG26"),
+        ("gt", "*[dice]", "*[base]", -3.0),
+    ),
+    "table7": (
+        ("ge", "dice-nextline/ALL26", "dice/ALL26"),
+        ("lt_const", "base-wide128/ALL26", 1.12),
+        ("lt_const", "base-nextline/ALL26", 1.12),
+        ("gt", "dice/ALL26", "base-wide128/ALL26"),
+        ("gt", "dice/ALL26", "base-nextline/ALL26"),
+    ),
+    "table8": (
+        ("gt_const", "base(1GB)/ALL26", 1.0),
+        ("gt_const", "2x Capacity/ALL26", 1.0),
+        ("gt_const", "2x BW/ALL26", 1.0),
+        ("gt_const", "50% Latency/ALL26", 1.0),
+        ("gt", "base(1GB)/ALL26", "2x Capacity/ALL26", -0.02),
+    ),
     "cip": (
         ("between", "dice", 0.0, 100.0),
-        ("gt_const", "dice", 50.0),
+        ("gt_const", "dice", 75.0),
+        ("ge", "dice-ltt8192", "dice-ltt512", -2.0),
     ),
     "faults": (("gt_const", "dice/retained@maxrate", 0.5),),
+    "ablations": (
+        # index prediction: the LTT sits between no predictor and an oracle
+        ("ge", "dice-cip-oracle/ALL26", "dice/ALL26", -0.02),
+        ("ge", "dice/ALL26", "dice-cip-none/ALL26", -0.02),
+        ("ge", "dice/ALL26", "dice-noshare/ALL26", -0.02),
+        # static pair co-location: NSI and BAI land within 0.15
+        ("gt", "nsi/ALL26", "bai/ALL26", -0.15),
+        ("gt", "bai/ALL26", "nsi/ALL26", -0.15),
+        # set victim policy: both profitable, within 0.15 of each other
+        ("gt_const", "dice/ALL26", 1.0),
+        ("gt_const", "dice-evict-largest/ALL26", 1.0),
+        ("gt", "dice/ALL26", "dice-evict-largest/ALL26", -0.15),
+        ("gt", "dice-evict-largest/ALL26", "dice/ALL26", -0.15),
+        # LCP's exception path hurts where DICE falls back to TSI
+        ("gt", "libq[dice]", "libq[lcp]"),
+        ("gt", "lbm[dice]", "lbm[lcp]"),
+        ("gt", "dice/ALL26", "lcp/ALL26"),
+    ),
+}
+
+# op -> (number of operands, predicate over operand values then constants)
+_SHAPE_OPS = {
+    "gt": (2, lambda a, b, margin=0.0: a > b + margin),
+    "ge": (2, lambda a, b, margin=0.0: a >= b + margin),
+    "gt_const": (1, lambda a, c: a > c),
+    "lt_const": (1, lambda a, c: a < c),
+    "between": (1, lambda a, lo, hi: lo <= a <= hi),
+    "retains": (2, lambda a, b, share: a - 1 > share * (b - 1)),
 }
 
 
@@ -235,40 +334,73 @@ def shape_label(check: tuple) -> str:
     op = check[0]
     if op in ("gt", "ge"):
         symbol = ">" if op == "gt" else ">="
-        return f"{check[1]} {symbol} {check[2]}"
+        label = f"{check[1]} {symbol} {check[2]}"
+        if len(check) > 3:
+            margin = check[3]
+            label += f" {'-' if margin < 0 else '+'} {abs(margin):g}"
+        return label
     if op == "gt_const":
         return f"{check[1]} > {check[2]:g}"
     if op == "lt_const":
         return f"{check[1]} < {check[2]:g}"
     if op == "between":
         return f"{check[2]:g} <= {check[1]} <= {check[3]:g}"
+    if op == "retains":
+        return f"{check[1]} - 1 > {check[3]:g} * ({check[2]} - 1)"
     raise ValueError(f"unknown shape op {op!r}")
 
 
-def _evaluate_shape(check: tuple, summary: Dict[str, float]) -> bool:
+def _operand(name: str, summary: Dict[str, float], table: Optional[Table]):
+    """A summary key's or table cell's value, or ``{row: value}`` for a
+    ``*[column]`` operand; KeyError/ValueError/TypeError when absent."""
+    if not name.endswith("]"):
+        return summary[name]
+    row, column = name[:-1].split("[", 1)
+    headers, rows = table
+    index = headers.index(column)
+    cells = {str(r[0]): float(r[index]) for r in rows}
+    if row != "*":
+        return cells[row]
+    if not cells:
+        raise KeyError(name)  # no rows: the claim has nothing to hold on
+    return cells
+
+
+def _evaluate_shape(
+    check: tuple, summary: Dict[str, float], table: Optional[Table] = None
+) -> bool:
     op = check[0]
+    if op not in _SHAPE_OPS:
+        raise ValueError(f"unknown shape op {op!r}")
+    arity, predicate = _SHAPE_OPS[op]
+    constants = check[1 + arity:]
     try:
-        if op == "gt":
-            return summary[check[1]] > summary[check[2]]
-        if op == "ge":
-            return summary[check[1]] >= summary[check[2]]
-        if op == "gt_const":
-            return summary[check[1]] > check[2]
-        if op == "lt_const":
-            return summary[check[1]] < check[2]
-        if op == "between":
-            return check[2] <= summary[check[1]] <= check[3]
-    except KeyError:
-        return False  # summary key disappeared: that *is* a shape failure
-    raise ValueError(f"unknown shape op {op!r}")
+        values = [_operand(name, summary, table) for name in check[1:1 + arity]]
+        rows = next((v for v in values if isinstance(v, dict)), None)
+        if rows is None:
+            return predicate(*values, *constants)
+        return all(
+            predicate(
+                *(v[row] if isinstance(v, dict) else v for v in values),
+                *constants,
+            )
+            for row in rows
+        )
+    except (KeyError, ValueError, TypeError):
+        # a summary key, row or column that disappeared (or no table at
+        # all): that *is* a shape failure
+        return False
 
 
 def evaluate_shapes(
-    experiment: str, summary: Dict[str, float]
+    experiment: str,
+    summary: Dict[str, float],
+    table: Optional[Table] = None,
 ) -> Dict[str, bool]:
-    """label -> pass for every shape check declared for the experiment."""
+    """label -> pass for every shape check declared for the experiment;
+    ``table`` is the experiment's ``(headers, rows)``, for cell operands."""
     return {
-        shape_label(check): _evaluate_shape(check, summary)
+        shape_label(check): _evaluate_shape(check, summary, table)
         for check in SHAPE_CHECKS.get(experiment, ())
     }
 
@@ -310,13 +442,17 @@ class FidelityScore:
 
     @classmethod
     def from_summary(
-        cls, experiment: str, summary: Dict[str, float]
+        cls,
+        experiment: str,
+        summary: Dict[str, float],
+        table: Optional[Table] = None,
     ) -> "FidelityScore":
         keys = [
             KeyScore(key, float(value), paper_value(experiment, key))
             for key, value in summary.items()
         ]
-        return cls(experiment, keys, evaluate_shapes(experiment, summary))
+        shapes = evaluate_shapes(experiment, summary, table)
+        return cls(experiment, keys, shapes)
 
     @property
     def shapes_passed(self) -> int:
@@ -339,38 +475,42 @@ class FidelityScore:
         }
 
 
-def collect_summaries(
+def collect_results(
     params=None, experiments: Optional[Sequence[str]] = None
-) -> Dict[str, Dict[str, float]]:
-    """Run the experiment drivers and return their summaries, keyed by
-    experiment.  Deterministic simulations come from the result cache, so
-    a freshly-run campaign makes this nearly instant."""
+) -> Tuple[Dict[str, Dict[str, float]], Dict[str, Table]]:
+    """Run the experiment drivers: each experiment's summary, and its
+    ``(headers, rows)`` table from the same driver call.  Deterministic
+    simulations come from the result cache, so a freshly-run campaign
+    makes this nearly instant."""
     from repro.harness import experiments as exp_mod
 
     keys = list(experiments) if experiments else list(exp_mod.EXPERIMENTS)
-    out: Dict[str, Dict[str, float]] = {}
+    summaries: Dict[str, Dict[str, float]] = {}
+    tables: Dict[str, Table] = {}
     for key in keys:
         _title, fn = exp_mod.EXPERIMENTS[key]
         if fn is None:  # fig4 is sim-free and takes no params
-            _h, _r, summary = exp_mod.fig04_compressibility()
+            headers, rows, summary = exp_mod.fig04_compressibility()
         else:
-            _h, _r, summary = fn(params)
-        out[key] = {k: float(v) for k, v in summary.items()}
-    return out
+            headers, rows, summary = fn(params)
+        summaries[key] = {k: float(v) for k, v in summary.items()}
+        tables[key] = (headers, rows)
+    return summaries, tables
 
 
-def collect_summaries_repeated(
+def collect_results_repeated(
     params,
     experiments: Optional[Sequence[str]] = None,
     repetitions: int = 1,
-) -> Tuple[Dict[str, Dict[str, float]], Distributions]:
-    """Per-rep summaries: (rep-0 summaries, full per-key distributions).
+) -> Tuple[Dict[str, Dict[str, float]], Dict[str, Table], Distributions]:
+    """Per-rep summaries: (rep-0 summaries, rep-0 tables, full per-key
+    distributions).
 
     Repetition ``r`` re-runs every driver at the derived seed
     ``derive_rep_seed(params.seed, r)`` — rep 0 is ``params`` unchanged,
-    so the first element is exactly what :func:`collect_summaries` would
-    have returned and the scoreboard/baseline context stay pinned to the
-    campaign's base seed.  Results come from the result cache, so a
+    so the first two elements are exactly what :func:`collect_results`
+    would have returned and the scoreboard/baseline context stay pinned to
+    the campaign's base seed.  Results come from the result cache, so a
     campaign prefetched with the same ``--repetitions`` makes this cheap.
     """
     import dataclasses
@@ -381,6 +521,7 @@ def collect_summaries_repeated(
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
     distributions: Distributions = {}
     first: Dict[str, Dict[str, float]] = {}
+    first_tables: Dict[str, Table] = {}
     for rep in range(repetitions):
         rep_params = (
             params
@@ -389,14 +530,14 @@ def collect_summaries_repeated(
                 params, seed=derive_rep_seed(params.seed, rep)
             )
         )
-        summaries = collect_summaries(rep_params, experiments)
+        summaries, tables = collect_results(rep_params, experiments)
         if rep == 0:
-            first = summaries
+            first, first_tables = summaries, tables
         for experiment, summary in summaries.items():
             per_key = distributions.setdefault(experiment, {})
             for key, value in summary.items():
                 per_key.setdefault(key, []).append(float(value))
-    return first, distributions
+    return first, first_tables, distributions
 
 
 @dataclass
@@ -465,8 +606,6 @@ def compute_key_stats(
     sign-flip p-value); without one, they describe the distribution
     itself around zero movement (p-value None).
     """
-    from repro.analysis.stats import bootstrap_ci, sign_permutation_test
-
     recorded = (baseline or {}).get("experiments", {})
     out: Dict[str, Dict[str, KeyStats]] = {}
     for experiment, per_key in sorted(distributions.items()):
@@ -514,10 +653,16 @@ def compute_key_stats(
 
 
 def build_scoreboard(
-    summaries: Dict[str, Dict[str, float]]
+    summaries: Dict[str, Dict[str, float]],
+    tables: Optional[Dict[str, Table]] = None,
 ) -> Dict[str, FidelityScore]:
+    """One score per experiment; ``tables`` (as :func:`collect_results`
+    returns them) lets claims on table cells be judged."""
+    tables = tables or {}
     return {
-        experiment: FidelityScore.from_summary(experiment, summary)
+        experiment: FidelityScore.from_summary(
+            experiment, summary, tables.get(experiment)
+        )
         for experiment, summary in summaries.items()
     }
 
@@ -667,7 +812,7 @@ def detect_drift(
     (explicit ``tolerance`` argument, else the baseline's recorded
     tolerance, else :data:`DEFAULT_TOLERANCE`).
 
-    ``distributions`` (from :func:`collect_summaries_repeated`) upgrades
+    ``distributions`` (from :func:`collect_results_repeated`) upgrades
     the verdict for every key with more than one repetition: movement is
     the **mean** per-rep movement, and the flag carries a bootstrap CI
     plus a sign-flip p-value (:class:`KeyStats`).  Keys with a one-point

@@ -159,11 +159,13 @@ class FaultInjector:
         return classify(bit_errors, self.ecc)
 
     def corrupt(self, data: bytes, bit_errors: int) -> bytes:
-        """Return ``data`` with ``bit_errors`` distinct bits flipped."""
+        """Return ``data`` with ``bit_errors`` distinct bits flipped; more
+        errors than the line has bits flip every bit once."""
         if len(data) != LINE_SIZE:
             raise ValueError("corruption operates on whole 64 B lines")
         mutated = bytearray(data)
-        positions = self._rng.sample(range(LINE_SIZE * 8), bit_errors)
+        bits = LINE_SIZE * 8
+        positions = self._rng.sample(range(bits), min(bit_errors, bits))
         for pos in positions:
             mutated[pos // 8] ^= 1 << (pos % 8)
         return bytes(mutated)

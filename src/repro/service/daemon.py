@@ -69,13 +69,12 @@ from repro.service.http import (
 from repro.service.state import (
     CampaignState,
     DEFAULT_CHECKPOINT,
-    check_params,
     job_from_spec,
     load_checkpoint,
     write_checkpoint,
 )
 from repro.service.store import ContentStore
-from repro.sim.engine import SimulationParams
+from repro.sim.engine import SimulationParams, check_params
 from repro.sim.metrics import SimResult
 
 
@@ -107,7 +106,7 @@ class SimService:
             runner_mod._CACHE_PATH.with_suffix(".cas")
         )
         self._queues: Dict[str, Deque[Job]] = {}
-        self._rr: Deque[str] = deque()  # client round-robin order
+        self._rr: Deque[str] = deque()  # clients with queued jobs, in turn
         self._runs: Dict[str, "_SharedRun"] = {}
         # job_id -> (result, payload): each result's JSON-ready payload,
         # built once and shared read-only by every campaign holding it
@@ -464,14 +463,22 @@ class SimService:
             ).set(len(queue))
 
     def _next_job(self) -> Optional[Job]:
-        """Round-robin over clients with pending work (fairness)."""
-        for _ in range(len(self._rr)):
-            client = self._rr[0]
-            self._rr.rotate(-1)
-            queue = self._queues.get(client)
-            if queue:
-                return queue.popleft()
-        return None
+        """Round-robin over clients with pending work (fairness).
+
+        Only clients with queued jobs are in the rotation: a client whose
+        last job is dispatched leaves it, and its depth gauge reads 0.
+        """
+        if not self._rr:
+            return None
+        client = self._rr.popleft()
+        queue = self._queues[client]
+        job = queue.popleft()
+        if queue:
+            self._rr.append(client)
+        else:
+            del self._queues[client]
+            self.registry.gauge("service.queue.depth", client=client).set(0)
+        return job
 
     async def _dispatch(self) -> None:
         """Hand the supervisor one job per free worker slot, fairly."""

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import asyncio
 import json
-import math
 import os
 import tempfile
 import time
@@ -31,8 +30,7 @@ from typing import Dict, List, Optional
 
 from repro.exec.job import Job, make_job
 from repro.exec.progress import ProgressSnapshot
-from repro.resilience.ecc import SCHEMES
-from repro.sim.engine import SimulationParams
+from repro.sim.engine import SimulationParams, check_params
 from repro.sim.stats import LatencyHistogram
 
 CHECKPOINT_VERSION = 1
@@ -62,28 +60,6 @@ def job_to_spec(job: Job) -> Dict[str, object]:
     if job.rep:
         spec["rep"] = job.rep
     return spec
-
-
-def check_params(params: SimulationParams) -> None:
-    """Reject run parameters no simulation can mean (``ValueError``).
-
-    An ``ecc`` outside :data:`~repro.resilience.ecc.SCHEMES`, a negative
-    or non-finite ``fault_rate`` and a ``warmup_fraction`` outside
-    [0, 1) would each be simulated, cached under a key of their own, or
-    fail only inside a worker.
-    """
-    if params.ecc not in SCHEMES:
-        raise ValueError(
-            f"unknown ecc {params.ecc!r}; known: {', '.join(SCHEMES)}"
-        )
-    if not (math.isfinite(params.fault_rate) and params.fault_rate >= 0):
-        raise ValueError(
-            f"fault_rate must be finite and >= 0, got {params.fault_rate}"
-        )
-    if not 0 <= params.warmup_fraction < 1:
-        raise ValueError(
-            f"warmup_fraction must be in [0, 1), got {params.warmup_fraction}"
-        )
 
 
 def job_from_spec(spec: Dict[str, object]) -> Job:

@@ -10,6 +10,7 @@ stand-in for out-of-order overlap (bounded memory-level parallelism).
 from __future__ import annotations
 
 import heapq
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -18,6 +19,7 @@ from typing import Callable, Iterator, List, Optional, Tuple
 
 from repro import obs
 from repro.config import SystemConfig
+from repro.resilience.ecc import SCHEMES
 from repro.sim.energy import EnergyParams, total_energy_nj
 from repro.sim.linestore import LineStore, process_store
 from repro.sim.metrics import SimResult
@@ -43,6 +45,29 @@ class SimulationParams:
     # untouched: no injector is built and results are bit-identical)
     fault_rate: float = 0.0  # injected faults per GB-hour of simulated time
     ecc: str = "secded"  # "secded" | "none" (see repro.resilience.ecc)
+
+
+def check_params(params: SimulationParams) -> None:
+    """Reject run parameters no simulation can mean (``ValueError``).
+
+    An ``ecc`` outside :data:`~repro.resilience.ecc.SCHEMES`, a negative
+    or non-finite ``fault_rate`` and a ``warmup_fraction`` outside
+    [0, 1) would each be simulated, cached under a key of their own, or
+    fail only inside a worker.  An infinite ``fault_rate`` would never
+    return: its fault arrivals never advance simulated time.
+    """
+    if params.ecc not in SCHEMES:
+        raise ValueError(
+            f"unknown ecc {params.ecc!r}; known: {', '.join(SCHEMES)}"
+        )
+    if not (math.isfinite(params.fault_rate) and params.fault_rate >= 0):
+        raise ValueError(
+            f"fault_rate must be finite and >= 0, got {params.fault_rate}"
+        )
+    if not 0 <= params.warmup_fraction < 1:
+        raise ValueError(
+            f"warmup_fraction must be in [0, 1), got {params.warmup_fraction}"
+        )
 
 
 def _build_generators(
@@ -224,9 +249,11 @@ def _drive(
     system needs the run's observability and its set-up belongs to the
     run's ``sim`` profiler frame.  Each core's measurement window opens
     after its warmup accesses (at its first access for a warmup of 0) and
-    closes at its quota.  ``params`` (None for a trace replay) goes into
-    the manifest.
+    closes at its quota.  ``params`` (None for a trace replay) is checked
+    by :func:`check_params` and goes into the manifest.
     """
+    if params is not None:
+        check_params(params)
     run_obs = obs.begin_run(f"{name}x{config.name}")
     tracer = run_obs.tracer
     prof = run_obs.profiler

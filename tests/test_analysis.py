@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 import repro.harness.runner as runner_mod
-from repro.analysis.paper import PAPER_REFERENCE, paper_value
 from repro.analysis.report import (
     experiment_section,
     render_comparison,
@@ -13,6 +12,7 @@ from repro.analysis.report import (
 )
 from repro.harness.cli import EXPERIMENTS
 from repro.harness.runner import clear_cache
+from repro.obs.fidelity import PAPER_TARGETS, paper_value
 from repro.sim.engine import SimulationParams
 
 
@@ -26,7 +26,7 @@ def no_disk_cache(monkeypatch):
 
 class TestPaperReference:
     def test_every_experiment_key_is_known(self):
-        for key in PAPER_REFERENCE:
+        for key in PAPER_TARGETS:
             assert key in EXPERIMENTS, key
 
     def test_headline_values(self):
@@ -39,7 +39,7 @@ class TestPaperReference:
         assert paper_value("nonexistent", "x") is None
 
     def test_values_are_sane(self):
-        for experiment, entries in PAPER_REFERENCE.items():
+        for experiment, entries in PAPER_TARGETS.items():
             for key, value in entries.items():
                 assert value > 0, f"{experiment}/{key}"
 

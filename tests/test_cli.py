@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -18,7 +19,7 @@ from repro.harness.runner import clear_cache
 @pytest.fixture(autouse=True)
 def no_disk_cache(monkeypatch, tmp_path):
     monkeypatch.setattr(runner_mod, "_DISK_CACHE", False)
-    # an experiment command writes .campaign_flight.json in its cwd
+    # report --flight writes its report in the cwd by default
     monkeypatch.chdir(tmp_path)
     clear_cache()
     yield
@@ -250,6 +251,42 @@ def test_all_stdout_does_not_depend_on_earlier_runs(
     assert capsys.readouterr().out == fresh
 
 
+class TestRenderLoop:
+    """After the prefetch, `cli` renders the experiments one at a time; a
+    stop request ends the loop between two of them."""
+
+    def stub(self, monkeypatch, on_render=lambda: None):
+        from repro.harness import cli
+
+        rendered = []
+
+        def render(key, params):
+            rendered.append(key)
+            on_render()
+
+        monkeypatch.setattr(cli, "_prefetch", lambda *a, **kw: cli.EXIT_OK)
+        monkeypatch.setattr(cli, "run_one", render)
+        return rendered
+
+    def test_every_experiment_is_rendered_in_order(self, monkeypatch):
+        rendered = self.stub(monkeypatch)
+        assert main(["all", "--experiments", "fig13,fig4,fig1"]) == 0
+        assert rendered == ["fig13", "fig4", "fig1"]
+
+    def test_a_signal_stops_the_loop_between_experiments(
+        self, monkeypatch, capsys
+    ):
+        rendered = self.stub(
+            monkeypatch, lambda: os.kill(os.getpid(), signal.SIGTERM)
+        )
+        assert main(["all", "--experiments", "fig13,fig4,fig1"]) == 5
+        assert rendered == ["fig13"]
+        assert (
+            "interrupted: campaign stopped after 1 of 3 experiments; "
+            "re-run to resume"
+        ) in capsys.readouterr().err
+
+
 def test_no_resume_is_a_usage_error():
     with pytest.raises(SystemExit) as exc_info:
         main(["all", "--no-resume"])
@@ -389,6 +426,38 @@ class TestReportCommand:
         assert "Flight recorder report" in text
         assert "gmean" in text
         assert "all rows in-band" in capsys.readouterr().out
+
+
+    def test_failing_claims_are_printed_and_keep_the_exit_status(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        from repro.obs import fidelity
+
+        # fig13's gmean sits above its band and one workload degrades
+        table = (["workload", "dice"], [["povray", 1.5], ["gamess", 0.9]])
+        monkeypatch.setattr(
+            fidelity, "collect_results",
+            lambda params, experiments: (
+                {"fig13": {"gmean": 1.5}}, {"fig13": table}
+            ),
+        )
+        args = [
+            "report", "--flight", "--experiments", "fig13",
+            "--accesses", "100", "--baseline", str(tmp_path / "b.json"),
+            "--out", str(tmp_path / "r.md"),
+        ]
+        assert main(args + ["--update-baseline"]) == 0
+        capsys.readouterr()
+        # recorded failures are not drift: --check still passes
+        assert main(args + ["--check"]) == 0
+        claims = [
+            line for line in capsys.readouterr().err.splitlines()
+            if line.startswith("claim fails:")
+        ]
+        assert claims == [
+            "claim fails: fig13: 0.99 <= gmean <= 1.2",
+            "claim fails: fig13: *[dice] > 0.97",
+        ]
 
 
 class TestSeedDefaults:

@@ -1,8 +1,7 @@
 """Static checks keeping the documentation honest.
 
 DESIGN.md's module inventory and README's architecture sketch must point at
-files that exist; the experiment index must reference bench files that
-exist.  Cheap tripwires against documentation rot.
+files that exist.  Cheap tripwires against documentation rot.
 """
 
 from __future__ import annotations
@@ -25,13 +24,6 @@ def test_design_md_module_paths_exist():
             assert path.exists(), f"DESIGN.md references missing {path}"
     for match in re.finditer(r"`repro/([\w/]+)\.py`", text):
         path = ROOT / "src" / "repro" / f"{match.group(1)}.py"
-        assert path.exists(), f"DESIGN.md references missing {path}"
-
-
-def test_design_md_bench_targets_exist():
-    text = (ROOT / "DESIGN.md").read_text()
-    for match in re.finditer(r"`benchmarks/([\w]+\.py)`", text):
-        path = ROOT / "benchmarks" / match.group(1)
         assert path.exists(), f"DESIGN.md references missing {path}"
 
 

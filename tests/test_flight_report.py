@@ -1,20 +1,16 @@
-"""Flight-recorder report tests: assembly, rendering, campaign timings."""
+"""Flight-recorder report tests: assembly and rendering."""
 
 from __future__ import annotations
-
-import json
 
 import pytest
 
 from repro.analysis import flight
 from repro.analysis.flight import (
     build_flight_data,
-    load_campaign_flight,
     render_html,
     render_markdown,
     write_flight_report,
 )
-from repro.harness.campaign import Campaign
 from repro.obs.fidelity import (
     build_scoreboard,
     detect_drift,
@@ -58,8 +54,6 @@ class TestBuildFlightData:
             [],
             context=CONTEXT,
             baseline_path="FIDELITY_baseline.json",
-            campaign={"steps": [{"name": "fig10", "seconds": 1.5}],
-                      "total_seconds": 1.5},
             profile=make_profile(),
             metrics={"metrics": {"counters": {"l4.hits": 10},
                                  "gauges": {"ipc": 0.91}}},
@@ -74,7 +68,6 @@ class TestBuildFlightData:
     def test_absent_inputs_default_to_none(self):
         data = build_flight_data(make_board())
         assert data["baseline_path"] is None
-        assert data["campaign"] is None
         assert data["profile_top"] is None
         assert data["metrics"] is None
 
@@ -86,8 +79,6 @@ class TestRenderMarkdown:
             [],
             context=CONTEXT,
             baseline_path="FIDELITY_baseline.json",
-            campaign={"steps": [{"name": "fig10", "seconds": 1.5}],
-                      "total_seconds": 1.5},
             profile=make_profile(),
             metrics={"metrics": {"counters": {"l4.hits": 10},
                                  "gauges": {"ipc": 0.91}}},
@@ -97,7 +88,6 @@ class TestRenderMarkdown:
         assert "accesses=300" in text
         assert "all rows in-band" in text
         assert "dice/ALL26" in text          # scoreboard row
-        assert "| fig10 | 1.50 |" in text    # campaign timing
         assert "`sim;system.access`" in text  # profile frame
         assert "`l4.hits` | 10" in text      # metrics counter
         assert "_No trace summarized" in text
@@ -105,7 +95,6 @@ class TestRenderMarkdown:
     def test_absent_sections_render_placeholders(self):
         text = render_markdown(build_flight_data(make_board()))
         assert "**Drift:** not checked" in text
-        assert "_No campaign timing data" in text
         assert "_No profile recorded" in text
         assert "_No metrics snapshot" in text
         assert "_No trace summarized" in text
@@ -157,103 +146,6 @@ class TestWriteFlightReport:
             write_flight_report(
                 tmp_path / "r.pdf", build_flight_data(make_board()), "pdf"
             )
-
-
-class TestLoadCampaignFlight:
-    def test_missing_file_returns_none(self, tmp_path):
-        assert load_campaign_flight(tmp_path / "nope.json") is None
-
-    def test_corrupt_or_unshaped_files_return_none(self, tmp_path):
-        bad = tmp_path / "flight.json"
-        bad.write_text("{corrupt")
-        assert load_campaign_flight(bad) is None
-        bad.write_text(json.dumps(["not", "a", "dict"]))
-        assert load_campaign_flight(bad) is None
-        bad.write_text(json.dumps({"no": "steps"}))
-        assert load_campaign_flight(bad) is None
-
-    def test_roundtrip_from_campaign(self, tmp_path):
-        campaign = Campaign([("fig10", lambda: None), ("fig13", lambda: None)])
-        campaign.timings = {"fig10": 1.25, "fig13": 0.75}
-        out = campaign.write_flight_data(tmp_path / "flight.json")
-        payload = load_campaign_flight(out)
-        assert payload is not None
-        names = [step["name"] for step in payload["steps"]]
-        assert names == ["fig10", "fig13"]
-        assert payload["total_seconds"] == pytest.approx(2.0)
-
-
-class TestCampaignTimings:
-    def test_run_records_per_step_wall_time(self):
-        campaign = Campaign([("step_a", lambda: "a"), ("step_b", lambda: "b")])
-        campaign.run()
-        assert set(campaign.timings) == {"step_a", "step_b"}
-        assert all(t >= 0 for t in campaign.timings.values())
-        payload = campaign.flight_payload()
-        assert [s["name"] for s in payload["steps"]] == ["step_a", "step_b"]
-
-    def test_skipped_steps_have_no_timing(self):
-        # a stop request after step_a skips step_b
-        campaign = Campaign([("step_a", lambda: "a"), ("step_b", lambda: "b")])
-        campaign.run(should_stop=lambda: "step_a" in campaign.timings)
-        assert campaign.interrupted
-        assert campaign.completed == ["step_a"]
-        assert "step_b" not in campaign.timings
-        payload = campaign.flight_payload()
-        assert [s["name"] for s in payload["steps"]] == ["step_a"]
-
-
-class TestRepetitionReporting:
-    def payload(self, reps_a=3, reps_b=3):
-        return {
-            "steps": [
-                {"name": "fig10", "seconds": 1.0, "repetitions": reps_a},
-                {"name": "fig13", "seconds": 2.0, "repetitions": reps_b},
-            ],
-            "total_seconds": 3.0,
-        }
-
-    def test_counts_read_from_flight_steps(self):
-        counts = flight.campaign_repetition_counts(self.payload(3, 5))
-        assert counts == {"fig10": 3, "fig13": 5}
-
-    def test_pre_statistics_steps_are_simply_absent(self):
-        payload = {"steps": [{"name": "old", "seconds": 1.0}]}
-        assert flight.campaign_repetition_counts(payload) == {}
-        assert flight.mixed_repetitions_warning(payload) is None
-
-    def test_uniform_repetitions_do_not_warn(self):
-        assert flight.mixed_repetitions_warning(self.payload(3, 3)) is None
-
-    def test_mixed_repetitions_warn_without_crashing(self):
-        """Satellite: mixed rep counts are a warning, never an error."""
-        warning = flight.mixed_repetitions_warning(self.payload(1, 3))
-        assert warning is not None
-        assert "fig10" in warning and "fig13" in warning
-        text = render_markdown(
-            build_flight_data(make_board(), [], context=CONTEXT,
-                              campaign=self.payload(1, 3))
-        )
-        assert "⚠ **Warning:**" in text
-        assert "mixes repetition counts" in text
-
-    def test_campaign_table_gains_a_repetitions_column(self):
-        text = render_markdown(
-            build_flight_data(make_board(), [], context=CONTEXT,
-                              campaign=self.payload())
-        )
-        assert "| experiment | wall seconds | repetitions |" in text
-        assert "| fig10 | 1.00 | 3 |" in text
-
-    def test_old_payloads_keep_the_two_column_table(self):
-        payload = {"steps": [{"name": "old", "seconds": 1.0}],
-                   "total_seconds": 1.0}
-        text = render_markdown(
-            build_flight_data(make_board(), [], context=CONTEXT,
-                              campaign=payload)
-        )
-        assert "| experiment | wall seconds |" in text
-        assert "repetitions" not in text
 
 
 class TestStatisticsSection:

@@ -118,6 +118,13 @@ class TestInjector:
             )
             assert flipped == bits
 
+    def test_corrupt_beyond_the_line_flips_every_bit_once(self):
+        """More bit errors than a line has bits (a fault rate of 1e18 piles
+        them up) flip all 512, where sampling used to raise."""
+        inj = make_injector()
+        assert inj.corrupt(bytes(64), 600) == bytes([0xFF] * 64)
+        assert inj.corrupt(bytes(64), 512) == bytes([0xFF] * 64)
+
     def test_corrupt_requires_full_line(self):
         inj = make_injector()
         with pytest.raises(ValueError):
@@ -194,6 +201,26 @@ class TestPairBlastRadius:
 
 
 ACCELERATED_RATE = 3e13  # visible over a microseconds-long window
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"fault_rate": float("inf")},  # used to never return
+        {"fault_rate": float("nan")},
+        {"fault_rate": -1.0},
+        {"ecc": "bogus"},
+        {"warmup_fraction": 1.0},
+    ],
+    ids=["inf-rate", "nan-rate", "negative-rate", "unknown-ecc", "warmup-1"],
+)
+def test_run_workload_rejects_params_no_simulation_can_mean(bad):
+    cfg = SystemConfig.paper_scale(
+        SCALE, compressed=True, index_scheme="dice", name="dice"
+    )
+    params = SimulationParams(accesses_per_core=50, **bad)
+    with pytest.raises(ValueError):
+        run_workload("mcf", cfg, params)
 
 
 class TestEndToEnd:

@@ -119,6 +119,9 @@ def _check_counts(service: SimService) -> None:
     assert service._active == sum(
         1 for c in service.campaigns.values() if c.status == "running"
     )
+    # only clients with queued jobs are in the round-robin rotation
+    assert sorted(service._rr) == sorted(service._queues)
+    assert all(service._queues.values())
 
 
 _OPS = st.lists(
@@ -244,3 +247,52 @@ def test_payload_is_rebuilt_when_the_cached_result_changes(
     assert service._payload_for(job, first) is shared
     rebuilt = service._payload_for(job, second)
     assert rebuilt is not shared and rebuilt == shared
+
+
+def _dispatch_all(service: SimService):
+    """Every queued job, in the order the dispatcher would take them."""
+    order = []
+    while True:
+        job = service._next_job()
+        if job is None:
+            return order
+        service._begin_run(job)
+        order.append(job)
+
+
+def test_next_job_alternates_between_clients(memory_only_cache, tmp_path):
+    async def scenario():
+        service = _bare_service(tmp_path)
+        await service._register_campaign(
+            [_job(i) for i in range(3)], client="alice"
+        )
+        await service._register_campaign(
+            [_job(i) for i in range(3, 5)], client="bob"
+        )
+        return [job.params.seed for job in _dispatch_all(service)]
+
+    assert asyncio.run(scenario()) == [0, 3, 1, 4, 2]
+
+
+def test_a_client_leaves_the_rotation_once_its_queue_empties(
+    memory_only_cache, tmp_path
+):
+    """Two clients each finish a campaign: neither is still listed."""
+
+    async def scenario():
+        service = _bare_service(tmp_path)
+        for client, seeds in (("alice", (0, 1)), ("bob", (2,))):
+            await service._register_campaign(
+                [_job(i) for i in seeds], client=client
+            )
+        for job in _dispatch_all(service):
+            await service._finalize_run(job, _fake_result(job), None)
+        return service
+
+    service = asyncio.run(scenario())
+    assert all(c.status == "completed" for c in service.campaigns.values())
+    assert service._queues == {}
+    assert list(service._rr) == []
+    for client in ("alice", "bob"):
+        gauge = service.registry.gauge("service.queue.depth", client=client)
+        assert gauge.value == 0
